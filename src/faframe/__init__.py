@@ -4,16 +4,14 @@ The package is organized as:
 
 - :mod:`faframe.geometry` — atomic systems, rigid motions, periodic radius
   graphs
-- :mod:`faframe.frames` — PCA frames, canonicalization, frame-averaged
-  prediction
+- :mod:`faframe.frames` — PCA frames, canonicalization, the view plan,
+  frame-averaged prediction
 - :mod:`faframe.diffmath` — reverse-mode autodiff over float64 arrays, AdamW
 - :mod:`faframe.faenet` — the GNN backbone, training, gradient checking
 - :mod:`faframe.audit` — numeric invariance/equivariance reports
 - :mod:`faframe.expressivity` — synthetic discrimination benchmarks
 - :mod:`faframe.cli` — the ``faframe`` command-line entry point
 """
-
-import os
 
 from .geometry import (
     E3,
@@ -43,24 +41,3 @@ from .audit import SymmetryReport, audit_model, compare_methods
 from .expressivity import gen_k_chain, gen_rot_sym, run_benchmark
 
 __version__ = "0.1.0"
-
-THREADS_ENV_VAR = "FAFRAME_THREADS"
-
-
-def max_threads() -> int:
-    """Upper bound on internal parallelism, from FAFRAME_THREADS.
-
-    Everything in the package currently runs on a single thread, which
-    satisfies any cap; the value is validated here so a bad setting fails
-    loudly rather than being ignored.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoForcesRequested
 from .faenet import FAENetConfig, FAENetModel, forward
-from .frames import canonicalize, compute_frame
+from .frames import compute_frame, plan_views
 from .geometry import (
     E3,
     SE3,
@@ -92,10 +92,8 @@ def _random_reflection(rng: np.random.Generator) -> EuclideanTransform:
 
 def _canonical_signature(system: AtomicSystem, group: str):
     """Multiset of canonical views (positions plus cell rows, if any)."""
-    frame = compute_frame(system, group)
     views = []
-    for element in frame.elements:
-        view = canonicalize(system, element).system
+    for view in plan_views([system], "full", group).views:
         if view.cell is None:
             views.append(view.positions)
         else:

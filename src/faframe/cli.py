@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import max_threads
 from .audit import audit_model, format_report_table
 from .errors import FaframeError
 from .expressivity import run_benchmark
 from .faenet import FAENetConfig, FAENetModel, run_gradient_check
-from .frames import canonicalize, compute_frame
+from .frames import FA_MODES, canonicalize, compute_frame
 from .geometry import E3, normalize_group
 from .xyz import format_xyz, read_xyz_blocks
 
@@ -238,7 +237,7 @@ def build_parser() -> _Parser:
     audit.add_argument("systems_dir", help="directory of .xyz files")
     audit.add_argument("--config", help="JSON file of model settings")
     audit.add_argument("--fa-mode", default="full",
-                       choices=("full", "stochastic", "none", "data_augment"))
+                       choices=FA_MODES)
     audit.add_argument("--group", default=E3)
     audit.add_argument("--transforms", type=int, default=10,
                        help="random transforms per system and kind")
@@ -257,7 +256,7 @@ def build_parser() -> _Parser:
     bench.add_argument("--seeds", type=int, default=10)
     bench.add_argument("--epochs", type=int, default=150)
     bench.add_argument("--fa-mode", default="stochastic",
-                       choices=("full", "stochastic", "none", "data_augment"))
+                       choices=FA_MODES)
     bench.add_argument("--group", default=E3)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--config", help="JSON file of model settings")
@@ -280,7 +279,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
-        max_threads()
         return args.func(args)
     except (FaframeError, ValueError, OSError) as exc:
         print(f"faframe: error: {exc}", file=sys.stderr)

@@ -166,11 +166,15 @@ def segment_sum(values, segment_ids, num_segments: int) -> DiffValue:
     return out
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    # Split by sign for overflow-free evaluation.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> DiffValue:
     x = _as_value(x)
-    # Split by sign for overflow-free evaluation.
-    data = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                    np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    data = _stable_sigmoid(x.data)
     out = DiffValue(data, parents=(x,))
 
     def backward(grad):
@@ -182,8 +186,7 @@ def sigmoid(x) -> DiffValue:
 
 def swish(x) -> DiffValue:
     x = _as_value(x)
-    sig = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                   np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    sig = _stable_sigmoid(x.data)
     out = DiffValue(x.data * sig, parents=(x,))
 
     def backward(grad):
@@ -243,8 +246,7 @@ def binary_cross_entropy_with_logits(logits, targets) -> DiffValue:
     # max(x, 0) - x*y + log(1 + exp(-|x|)) is the overflow-safe form.
     loss = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     out = DiffValue(np.mean(loss), parents=(logits, targets))
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    sig = _stable_sigmoid(x)
     scale = 1.0 / max(x.size, 1)
 
     def backward(grad):

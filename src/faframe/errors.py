@@ -17,6 +17,10 @@ class NonFiniteLoss(FaframeError, FloatingPointError):
     """A training loss evaluated to NaN or infinity; the step was aborted."""
 
 
+class NonFiniteInput(FaframeError, ValueError):
+    """Positions or a cell hold NaN or infinity."""
+
+
 class CutoffExceedsImageRange(FaframeError, ValueError):
     """The radius cutoff requires periodic images beyond offset +/-1."""
 

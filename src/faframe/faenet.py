@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,18 +24,8 @@ from . import diffmath as dm
 from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
 from .errors import NonFiniteLoss, NoForcesRequested, UnknownElement
-from .frames import canonicalize, compute_frame
-from .geometry import (
-    E3,
-    AtomicSystem,
-    RadiusGraph,
-    apply_transform,
-    build_radius_graph,
-    normalize_group,
-    random_transform,
-)
-
-FA_MODES = ("full", "stochastic", "none", "data_augment")
+from .frames import ViewPlan, plan_views
+from .geometry import E3, AtomicSystem, RadiusGraph, build_radius_graph
 
 MP_VARIANTS = ("standard", "simple", "basic")
 ENERGY_HEADS = ("weighted", "simple")
@@ -243,14 +234,11 @@ def _edge_feature_block(config: FAENetConfig, graph: RadiusGraph) -> np.ndarray:
     return np.concatenate([graph.rel_vectors, radial], axis=1)
 
 
-def _make_batch(views: list[AtomicSystem], config: FAENetConfig,
-                output_ids: np.ndarray | None = None) -> _Batch:
-    """Merge per-view radius graphs into one disjoint graph."""
-    if output_ids is None:
-        output_ids = np.arange(len(views))
+def _make_batch(views: Sequence[AtomicSystem], config: FAENetConfig) -> _Batch:
+    """Merge per-view radius graphs into one disjoint graph, one output per view."""
     z_parts, edge_parts, src_parts, dst_parts, out_parts = [], [], [], [], []
     offset = 0
-    for view, out_id in zip(views, output_ids):
+    for out_id, view in enumerate(views):
         _validate_numbers(view.atomic_numbers)
         graph = build_radius_graph(view, config.cutoff, config.max_neighbors)
         z_parts.append(view.atomic_numbers - 1)
@@ -270,7 +258,7 @@ def _make_batch(views: list[AtomicSystem], config: FAENetConfig,
         src=np.concatenate(src_parts),
         dst=np.concatenate(dst_parts),
         atom_output=np.concatenate(out_parts),
-        num_outputs=int(np.max(output_ids)) + 1,
+        num_outputs=len(views),
         num_atoms=offset,
     )
 
@@ -314,33 +302,6 @@ def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffVal
     return dm.add(h, update)
 
 
-def embed(model: FAENetModel, view: AtomicSystem,
-          graph: RadiusGraph) -> tuple[DiffValue, DiffValue]:
-    """Initial node embeddings and edge embeddings for one view's graph."""
-    _validate_numbers(view.atomic_numbers)
-    z_index = view.atomic_numbers - 1
-    prop_rows = None
-    if model.config.property_table is not None:
-        prop_rows = model.config.property_table[z_index]
-    batch = _Batch(
-        z_index=z_index,
-        prop_rows=prop_rows,
-        edge_features=_edge_feature_block(model.config, graph),
-        src=graph.src,
-        dst=graph.dst,
-        atom_output=np.zeros(view.num_atoms, dtype=np.int64),
-        num_outputs=1,
-        num_atoms=view.num_atoms,
-    )
-    return _embed_arrays(model, batch)
-
-
-def interaction(model: FAENetModel, h: DiffValue, e: DiffValue, graph: RadiusGraph,
-                layer: int) -> DiffValue:
-    """One residual message-passing block on a single view's graph."""
-    return _interaction_arrays(model, layer, h, e, graph.src, graph.dst, graph.num_nodes)
-
-
 def _net(model: FAENetModel, batch: _Batch,
          want_forces: bool) -> tuple[DiffValue, DiffValue | None]:
     """Run the backbone on a merged graph; returns (energy (B,1), forces (N,3))."""
@@ -369,49 +330,19 @@ def _net(model: FAENetModel, batch: _Batch,
     return energy, forces
 
 
-def _prepare_views(model: FAENetModel, system: AtomicSystem, fa_mode: str, group: str,
-                   rng: np.random.Generator | None):
-    """Canonical (or augmented) views plus the matrix mapping canonical
-    forces back to the input pose (None means identity)."""
-    group = normalize_group(group)
-    if fa_mode not in FA_MODES:
-        raise ValueError(f"fa_mode must be one of {FA_MODES}, got {fa_mode!r}")
-    if fa_mode == "none":
-        return [system], [None], False
-    if fa_mode == "data_augment":
-        if rng is None:
-            raise ValueError("data_augment mode needs an rng")
-        transform = random_transform(group, rng)
-        # Predictions are mapped back to the input pose: forces from the
-        # augmented view are right-multiplied by U (the inverse rotation).
-        return [apply_transform(system, transform)], [transform.rotation], False
-    frame = compute_frame(system, group)
-    if fa_mode == "stochastic":
-        if rng is None:
-            raise ValueError("stochastic mode needs an rng")
-        elements = [frame.elements[int(rng.integers(len(frame.elements)))]]
-    else:
-        elements = list(frame.elements)
-    views = [canonicalize(system, element).system for element in elements]
-    # uncanonicalization right-multiplies by U^T
-    back = [element.rotation.T for element in elements]
-    return views, back, frame.degenerate
-
-
 def forward(model: FAENetModel, system: AtomicSystem, fa_mode: str = "full",
             group: str = E3, rng: np.random.Generator | None = None) -> Prediction:
     """Predict energy (and forces if configured) for one system."""
-    views, back_rotations, _ = _prepare_views(model, system, fa_mode, group, rng)
-    batch = _make_batch(views, model.config)
+    plan = plan_views([system], fa_mode, group, rng)
+    batch = _make_batch(plan.views, model.config)
     energy, forces = _net(model, batch, want_forces=model.config.predict_forces)
     energy_value = float(np.mean(energy.data))
     force_value = None
     if forces is not None:
-        n = system.num_atoms
-        stacked = forces.data.reshape(len(views), n, 3)
+        stacked = forces.data.reshape(len(plan.views), system.num_atoms, 3)
         mapped = [
             block if rotation is None else block @ rotation
-            for block, rotation in zip(stacked, back_rotations)
+            for block, rotation in zip(stacked, plan.back)
         ]
         force_value = np.mean(mapped, axis=0)
     return Prediction(energy=energy_value, forces=force_value)
@@ -433,50 +364,34 @@ def training_forward(model: FAENetModel, systems: list[AtomicSystem], fa_mode: s
     sample's views are averaged inside the graph so gradients follow the
     same path the predictions took.
     """
-    all_views: list[AtomicSystem] = []
-    view_sample: list[int] = []
-    view_weight: list[float] = []
-    view_back: list[np.ndarray | None] = []
-    for index, system in enumerate(systems):
-        views, back, _ = _prepare_views(model, system, fa_mode, group, rng)
-        weight = 1.0 / len(views)
-        for view, rotation in zip(views, back):
-            all_views.append(view)
-            view_sample.append(index)
-            view_weight.append(weight)
-            view_back.append(rotation)
+    plan = plan_views(systems, fa_mode, group, rng)
+    return _average_views(model, plan, _make_batch(plan.views, model.config), want_forces)
 
-    batch = _make_batch(all_views, model.config, output_ids=np.arange(len(all_views)))
-    energy_views, force_views = _net(model, batch, want_forces=want_forces)
 
-    weights = np.array(view_weight)[:, None]
-    weighted = dm.mul(energy_views, dm.constant(weights))
-    energy = dm.segment_sum(weighted, np.array(view_sample), len(systems))
+def _average_views(model: FAENetModel, plan: ViewPlan, batch: _Batch,
+                   want_forces: bool) -> tuple[DiffValue, DiffValue | None]:
+    """Run the net on a plan's batch and take each system's weighted view mean."""
+    energy_views, force_views = _net(model, batch, want_forces)
+    weighted = dm.mul(energy_views, dm.constant(plan.weight[:, None]))
+    energy = dm.segment_sum(weighted, plan.sample, plan.num_systems)
+    if force_views is None:
+        return energy, None
 
-    forces = None
-    if force_views is not None:
-        sizes = [view.num_atoms for view in all_views]
-        row_starts = np.concatenate(([0], np.cumsum(sizes)))
-        pieces = []
-        atom_targets = []
-        target_starts = np.concatenate(
-            ([0], np.cumsum([system.num_atoms for system in systems]))
-        )
-        for v, (sample, rotation, weight) in enumerate(
-            zip(view_sample, view_back, view_weight)
-        ):
-            rows = np.arange(row_starts[v], row_starts[v + 1])
-            block = dm.gather_rows(force_views, rows)
-            if rotation is not None:
-                block = dm.matmul(block, dm.constant(rotation))
-            block = dm.mul(block, dm.constant(np.asarray(weight)))
-            pieces.append(block)
-            atom_targets.append(np.arange(target_starts[sample], target_starts[sample + 1]))
-        forces = dm.segment_sum(
-            dm.concat(pieces, axis=0),
-            np.concatenate(atom_targets),
-            int(target_starts[-1]),
-        )
+    # Every view of a system has that system's atoms, in input order.
+    view_sizes = np.array([view.num_atoms for view in plan.views])
+    system_sizes = np.zeros(plan.num_systems, dtype=np.int64)
+    system_sizes[plan.sample] = view_sizes
+    row_starts = np.concatenate(([0], np.cumsum(view_sizes)))
+    target_starts = np.concatenate(([0], np.cumsum(system_sizes)))
+    pieces, atom_targets = [], []
+    for v, (sample, rotation, weight) in enumerate(zip(plan.sample, plan.back, plan.weight)):
+        block = dm.gather_rows(force_views, np.arange(row_starts[v], row_starts[v + 1]))
+        if rotation is not None:
+            block = dm.matmul(block, dm.constant(rotation))
+        pieces.append(dm.mul(block, dm.constant(np.asarray(weight))))
+        atom_targets.append(np.arange(target_starts[sample], target_starts[sample + 1]))
+    forces = dm.segment_sum(dm.concat(pieces, axis=0), np.concatenate(atom_targets),
+                            int(target_starts[-1]))
     return energy, forces
 
 
@@ -644,44 +559,15 @@ def run_gradient_check(config: FAENetConfig | None = None, seed: int = 0) -> dic
     force_targets = np.concatenate([s.forces for s in samples], axis=0)
     want_forces = config.predict_forces
 
-    # Full-frame views, graphs, and index maps do not depend on parameters,
-    # so they are prepared once; each loss evaluation reruns only the net.
-    all_views, view_sample, view_weight, view_back = [], [], [], []
-    for index, system in enumerate(systems):
-        views, back, _ = _prepare_views(model, system, "full", E3, None)
-        for view, rotation in zip(views, back):
-            all_views.append(view)
-            view_sample.append(index)
-            view_weight.append(1.0 / len(views))
-            view_back.append(rotation)
-    batch = _make_batch(all_views, config, output_ids=np.arange(len(all_views)))
-    weights = np.array(view_weight)[:, None]
-    view_sample = np.array(view_sample)
-    sizes = [view.num_atoms for view in all_views]
-    row_starts = np.concatenate(([0], np.cumsum(sizes)))
-    target_starts = np.concatenate(([0], np.cumsum([s.num_atoms for s in systems])))
+    # Full-frame views and graphs do not depend on parameters, so they are
+    # prepared once; each loss evaluation reruns only the net.
+    plan = plan_views(systems, "full", E3)
+    batch = _make_batch(plan.views, config)
 
     def build_loss():
-        energy_views, force_views = _net(model, batch, want_forces)
-        energy = dm.segment_sum(dm.mul(energy_views, dm.constant(weights)),
-                                view_sample, len(systems))
+        energy, forces = _average_views(model, plan, batch, want_forces)
         loss = dm.mse_loss(energy, dm.constant(energy_targets))
         if want_forces:
-            pieces, atom_targets = [], []
-            for v, (sample, rotation, weight) in enumerate(
-                zip(view_sample, view_back, view_weight)
-            ):
-                rows = np.arange(row_starts[v], row_starts[v + 1])
-                block = dm.gather_rows(force_views, rows)
-                block = dm.matmul(block, dm.constant(rotation))
-                block = dm.mul(block, dm.constant(np.asarray(weight)))
-                pieces.append(block)
-                atom_targets.append(
-                    np.arange(target_starts[sample], target_starts[sample + 1])
-                )
-            forces = dm.segment_sum(dm.concat(pieces, axis=0),
-                                    np.concatenate(atom_targets),
-                                    int(target_starts[-1]))
             loss = dm.add(loss, dm.mse_loss(forces, dm.constant(force_targets)))
         return loss
 

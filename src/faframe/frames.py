@@ -10,6 +10,12 @@ element instead of an integral over the whole group.
 Groups: E3 keeps all eight eigenvector sign choices, SE3 the four with
 det +1, and Z_AXIS_2D the two in-plane rotations from the 2x2 covariance
 of x and y with the z axis pinned upward.
+
+The view plan lives here too: :func:`plan_views` turns a batch of systems
+and an ``fa_mode`` into the views a backbone evaluates and the rotations
+that map each view's vector outputs back to its input pose. Inference,
+training and gradient checking in :mod:`faframe.faenet`, the audit, and
+the generic predictors below all average over such a plan.
 """
 
 from __future__ import annotations
@@ -26,10 +32,13 @@ from .geometry import (
     Z_AXIS_2D,
     AtomicSystem,
     EuclideanTransform,
+    apply_transform,
     normalize_group,
+    random_transform,
 )
 
 FRAME_GROUPS = (E3, SE3, Z_AXIS_2D)
+FA_MODES = ("full", "stochastic", "none", "data_augment")
 
 # Relative eigenvalue gap below which eigenvectors stop being well defined.
 DEGENERACY_RTOL = 1e-6
@@ -150,12 +159,63 @@ def canonicalize(system: AtomicSystem, element: EuclideanTransform) -> Canonical
     return CanonicalView(system=projected, transform=element)
 
 
-def uncanonicalize_output(output, element: EuclideanTransform, kind: str):
-    """Map a model output from canonical axes back to the input pose.
+@dataclass(frozen=True)
+class ViewPlan:
+    """The views a backbone evaluates for a batch of systems.
 
-    ``kind="invariant"`` returns the output untouched; ``kind="equivariant"``
-    right-multiplies per-atom 3-vectors by U^T.
+    View ``i`` belongs to input system ``sample[i]`` and enters that
+    system's average with ``weight[i]``; the weights of each system sum to
+    one. Right-multiplying the view's per-atom vectors by ``back[i]``
+    returns them to the input pose, and ``None`` stands for the identity.
     """
+
+    views: tuple[AtomicSystem, ...]
+    back: tuple[np.ndarray | None, ...]
+    sample: np.ndarray
+    weight: np.ndarray
+    num_systems: int
+
+
+def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = E3,
+               rng: np.random.Generator | None = None) -> ViewPlan:
+    """Plan the views of every system for one of the ``FA_MODES``.
+
+    ``full`` takes every frame element, ``stochastic`` one drawn uniformly,
+    ``none`` the system as given, and ``data_augment`` one random rigid
+    motion of ``group``. The two random modes need ``rng`` and draw from it
+    once per system, in input order.
+    """
+    group = normalize_group(group)
+    if fa_mode not in FA_MODES:
+        raise ValueError(f"fa_mode must be one of {FA_MODES}, got {fa_mode!r}")
+    if fa_mode in ("stochastic", "data_augment") and rng is None:
+        raise ValueError(f"{fa_mode} mode needs an rng")
+    views, back, sample, weight = [], [], [], []
+    for index, system in enumerate(systems):
+        if fa_mode == "none":
+            chosen = [(system, None)]
+        elif fa_mode == "data_augment":
+            transform = random_transform(group, rng)
+            # The augmented view's vectors return to the input pose through
+            # the inverse rotation U^T, i.e. right-multiplied by U.
+            chosen = [(apply_transform(system, transform), transform.rotation)]
+        else:
+            elements = compute_frame(system, group).elements
+            if fa_mode == "stochastic":
+                elements = [elements[int(rng.integers(len(elements)))]]
+            # uncanonicalization right-multiplies by U^T
+            chosen = [(canonicalize(system, el).system, el.rotation.T) for el in elements]
+        for view, rotation in chosen:
+            views.append(view)
+            back.append(rotation)
+            sample.append(index)
+            weight.append(1.0 / len(chosen))
+    return ViewPlan(tuple(views), tuple(back), np.array(sample, dtype=np.int64),
+                    np.array(weight), len(systems))
+
+
+def _map_back(output, back: np.ndarray, kind: str):
+    """Map one output through the representation named by ``kind``."""
     if kind == "invariant":
         return output
     if kind != "equivariant":
@@ -165,10 +225,19 @@ def uncanonicalize_output(output, element: EuclideanTransform, kind: str):
         raise ShapeMismatch(
             f"equivariant outputs must be 3-vectors per row, got shape {array.shape}"
         )
-    return array @ element.rotation.T
+    return array @ back
 
 
-def _map_output(output, element: EuclideanTransform, kind: str):
+def uncanonicalize_output(output, element: EuclideanTransform, kind: str):
+    """Map a model output from canonical axes back to the input pose.
+
+    ``kind="invariant"`` returns the output untouched; ``kind="equivariant"``
+    right-multiplies per-atom 3-vectors by U^T.
+    """
+    return _map_back(output, element.rotation.T, kind)
+
+
+def _map_output(output, back: np.ndarray, kind: str):
     """Apply the output representation; (energy, forces) pairs are split."""
     if isinstance(output, tuple):
         if len(output) != 2:
@@ -176,11 +245,13 @@ def _map_output(output, element: EuclideanTransform, kind: str):
         energy, forces = output
         if forces is None:
             return (energy, None)
-        return (energy, uncanonicalize_output(forces, element, "equivariant"))
-    return uncanonicalize_output(output, element, kind)
+        return (energy, _map_back(forces, back, "equivariant"))
+    return _map_back(output, back, kind)
 
 
-def _average(outputs):
+def _average(model, plan: ViewPlan, kind: str):
+    """Evaluate ``model`` on every view of a one-system plan and average."""
+    outputs = [_map_output(model(view), back, kind) for view, back in zip(plan.views, plan.back)]
     first = outputs[0]
     if isinstance(first, tuple):
         energies = [o[0] for o in outputs]
@@ -202,12 +273,7 @@ def full_fa_predict(model, system: AtomicSystem, group: str = E3, kind: str = "i
     representation named by ``kind``; pairs always treat the energy as
     invariant and the forces as equivariant.
     """
-    frame = compute_frame(system, group)
-    outputs = []
-    for element in frame.elements:
-        view = canonicalize(system, element)
-        outputs.append(_map_output(model(view.system), element, kind))
-    return _average(outputs)
+    return _average(model, plan_views([system], "full", group), kind)
 
 
 def stochastic_fa_predict(
@@ -220,10 +286,7 @@ def stochastic_fa_predict(
     """Evaluate ``model`` on one uniformly sampled canonical view."""
     if rng is None:
         rng = np.random.default_rng()
-    frame = compute_frame(system, group)
-    element = frame.elements[int(rng.integers(len(frame.elements)))]
-    view = canonicalize(system, element)
-    return _map_output(model(view.system), element, kind)
+    return _average(model, plan_views([system], "stochastic", group, rng), kind)
 
 
 def frame_to_text(frame: Frame) -> str:

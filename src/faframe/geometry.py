@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffExceedsImageRange
+from .errors import CutoffExceedsImageRange, NonFiniteInput
 
 ORTHONORMAL_TOL = 1e-10
 CELL_DET_TOL = 1e-10
@@ -67,6 +67,8 @@ class AtomicSystem:
         positions = np.asarray(self.positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3 or positions.shape[0] < 1:
             raise ValueError(f"positions must be (n, 3) with n >= 1, got {positions.shape}")
+        if not np.isfinite(positions).all():
+            raise NonFiniteInput("positions contain NaN or inf")
         numbers = np.asarray(self.atomic_numbers, dtype=np.int64)
         if numbers.shape != (positions.shape[0],):
             raise ValueError(
@@ -82,6 +84,8 @@ class AtomicSystem:
             cell = np.asarray(cell, dtype=np.float64)
             if cell.shape != (3, 3):
                 raise ValueError(f"cell must be (3, 3), got {cell.shape}")
+            if not np.isfinite(cell).all():
+                raise NonFiniteInput("cell contains NaN or inf")
         if any(pbc) and cell is None:
             raise ValueError("periodic flags set but no cell given")
         if any(pbc) and abs(np.linalg.det(cell)) <= CELL_DET_TOL:
@@ -147,9 +151,6 @@ class EuclideanTransform:
             rotation=self.rotation.T,
             translation=-(self.translation @ self.rotation),
         )
-
-
-IDENTITY_TRANSFORM = EuclideanTransform(np.eye(3), np.zeros(3))
 
 
 def apply_transform(system: AtomicSystem, transform: EuclideanTransform) -> AtomicSystem:

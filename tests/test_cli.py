@@ -127,6 +127,17 @@ def test_canonicalize_missing_file_is_an_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_canonicalize_rejects_non_finite_coordinates(tmp_path, capsys, bad):
+    source = tmp_path / "in.xyz"
+    source.write_text(f"3\n\nC 0 0 0\nO 1.2 0 0\nH 0 {bad} 0.5\n")
+    code = main(["canonicalize", str(source)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert "faframe: error: positions contain NaN or inf" in captured.err
+
+
 # --------------------------------------------------------------------- audit
 
 

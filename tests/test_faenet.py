@@ -18,9 +18,10 @@ from faframe.faenet import (
     FAENetConfig,
     FAENetModel,
     TrainSample,
-    embed,
+    _embed_arrays,
+    _interaction_arrays,
+    _make_batch,
     forward,
-    interaction,
     rbf,
     train_step,
     training_forward,
@@ -75,10 +76,11 @@ def test_embed_shapes():
     model = FAENetModel(TINY, rng)
     system = random_system(rng, n=5)
     graph = build_radius_graph(system, TINY.cutoff, TINY.max_neighbors)
-    h, e = embed(model, system, graph)
+    batch = _make_batch([system], TINY)
+    h, e = _embed_arrays(model, batch)
     assert h.shape == (5, TINY.hidden_channels)
     assert e.shape == (graph.src.size, TINY.num_filters)
-    out = interaction(model, h, e, graph, 0)
+    out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, batch.num_atoms)
     assert out.shape == (5, TINY.hidden_channels)
 
 

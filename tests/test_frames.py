@@ -12,11 +12,13 @@ from faframe.geometry import (
     random_transform,
 )
 from faframe.frames import (
+    FA_MODES,
     canonicalize,
     compute_frame,
     frame_from_text,
     frame_to_text,
     full_fa_predict,
+    plan_views,
     stochastic_fa_predict,
     uncanonicalize_output,
 )
@@ -255,6 +257,85 @@ def test_near_degenerate_uses_relative_gap():
     base[2:4, 1] = [0.2500001, -0.2500001]
     frame = compute_frame(AtomicSystem(base, np.full(6, 6)), E3)
     assert frame.degenerate
+
+
+# ----------------------------------------------------------------- view plan
+
+
+@pytest.mark.parametrize("group, count", [(E3, 8), (SE3, 4), (Z_AXIS_2D, 2)])
+def test_plan_full_takes_every_frame_element(group, count):
+    rng = np.random.default_rng(20)
+    systems = [random_system(rng) for _ in range(3)]
+    plan = plan_views(systems, "full", group)
+    assert plan.num_systems == 3
+    assert len(plan.views) == len(plan.back) == 3 * count
+    np.testing.assert_array_equal(plan.sample, np.repeat(np.arange(3), count))
+
+
+@pytest.mark.parametrize("fa_mode", ["stochastic", "none", "data_augment"])
+def test_plan_single_view_modes(fa_mode):
+    rng = np.random.default_rng(21)
+    systems = [random_system(rng) for _ in range(3)]
+    plan = plan_views(systems, fa_mode, E3, rng)
+    assert len(plan.views) == 3
+    np.testing.assert_array_equal(plan.sample, np.arange(3))
+
+
+def test_plan_degenerate_frame_has_one_view():
+    single = AtomicSystem(np.array([[0.4, -0.1, 2.0]]), np.array([6]))
+    plan = plan_views([single, AXIS_ALIGNED], "full", E3)
+    np.testing.assert_array_equal(plan.sample, [0] + [1] * 8)
+
+
+@pytest.mark.parametrize("fa_mode", FA_MODES)
+def test_plan_weights_sum_to_one_per_system(fa_mode):
+    rng = np.random.default_rng(22)
+    single = AtomicSystem(np.array([[0.4, -0.1, 2.0]]), np.array([6]))
+    systems = [random_system(rng), single, random_system(rng)]
+    plan = plan_views(systems, fa_mode, SE3, rng)
+    totals = np.bincount(plan.sample, weights=plan.weight, minlength=3)
+    np.testing.assert_allclose(totals, np.ones(3), rtol=0, atol=1e-15)
+
+
+def test_plan_stochastic_draws_once_per_system_in_order():
+    rng = np.random.default_rng(23)
+    a, b = random_system(rng), random_system(rng)
+    joint = plan_views([a, b], "stochastic", E3, np.random.default_rng(5))
+    shared = np.random.default_rng(5)
+    alone = [plan_views([s], "stochastic", E3, shared) for s in (a, b)]
+    for view, back, single in zip(joint.views, joint.back, alone):
+        np.testing.assert_array_equal(view.positions, single.views[0].positions)
+        np.testing.assert_array_equal(back, single.back[0])
+
+
+def test_plan_none_maps_back_with_identity():
+    system = random_system(np.random.default_rng(24))
+    plan = plan_views([system], "none", E3)
+    assert plan.views == (system,)
+    assert plan.back == (None,)
+
+
+@pytest.mark.parametrize("fa_mode", FA_MODES)
+def test_plan_back_returns_view_vectors_to_input_pose(fa_mode):
+    # Offsets from the centroid are an equivariant per-atom vector field:
+    # each view's field, mapped back, must equal the input's.
+    rng = np.random.default_rng(25)
+    system = random_system(rng, n=6)
+    expected = system.positions - system.positions.mean(axis=0)
+    plan = plan_views([system], fa_mode, E3, rng)
+    for view, back in zip(plan.views, plan.back):
+        field = view.positions - view.positions.mean(axis=0)
+        mapped = field if back is None else field @ back
+        np.testing.assert_allclose(mapped, expected, atol=1e-12)
+
+
+def test_plan_rejects_unknown_mode_and_missing_rng():
+    system = random_system(np.random.default_rng(26))
+    with pytest.raises(ValueError, match="fa_mode"):
+        plan_views([system], "mean")
+    for fa_mode in ("stochastic", "data_augment"):
+        with pytest.raises(ValueError, match="needs an rng"):
+            plan_views([system], fa_mode)
 
 
 # ------------------------------------------------------------ output mapping

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from faframe.errors import CutoffExceedsImageRange
+from faframe.errors import CutoffExceedsImageRange, NonFiniteInput
 from faframe.geometry import (
     E3,
     SE3,
@@ -323,3 +323,21 @@ def test_singular_cell_rejected():
     cell = np.zeros((3, 3))
     with pytest.raises(ValueError):
         AtomicSystem(np.zeros((2, 3)), np.array([1, 1]), cell=cell, pbc=(True, True, True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_positions_rejected(bad):
+    positions = np.zeros((3, 3))
+    positions[1, 2] = bad
+    with pytest.raises(NonFiniteInput, match="positions"):
+        AtomicSystem(positions, np.array([1, 6, 8]))
+
+
+def test_non_finite_cell_rejected():
+    # abs(det) of a NaN cell compares False against the singularity bound,
+    # so only an explicit finiteness check catches it.
+    cell = np.eye(3) * 10.0
+    cell[0, 1] = np.nan
+    for pbc in ((True, True, True), (False, False, False)):
+        with pytest.raises(NonFiniteInput, match="cell"):
+            AtomicSystem(np.zeros((2, 3)), np.array([1, 1]), cell=cell, pbc=pbc)
