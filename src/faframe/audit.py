@@ -90,15 +90,18 @@ def _random_reflection(rng: np.random.Generator) -> EuclideanTransform:
     return EuclideanTransform(rotation, transform.translation)
 
 
-def _canonical_signature(system: AtomicSystem, group: str):
-    """Multiset of canonical views (positions plus cell rows, if any)."""
-    views = []
-    for view in plan_views([system], "full", group).views:
-        if view.cell is None:
-            views.append(view.positions)
-        else:
-            views.append(np.concatenate([view.positions, view.cell], axis=0))
-    return views
+def _representation(system: AtomicSystem, fa_mode: str, group: str):
+    """What the model is shown of a system: positions plus cell rows, if any,
+    of each canonical view, or of the raw input when nothing is canonicalized."""
+    if fa_mode in ("full", "stochastic"):
+        views = plan_views([system], "full", group).views
+    else:
+        views = [system]
+    return [
+        view.positions if view.cell is None
+        else np.concatenate([view.positions, view.cell], axis=0)
+        for view in views
+    ]
 
 
 def _multisets_match(a, b, tol=POS_TOLERANCE) -> bool:
@@ -114,23 +117,6 @@ def _multisets_match(a, b, tol=POS_TOLERANCE) -> bool:
         if found is None:
             return False
         unused.remove(found)
-    return True
-
-
-def _representations_match(system: AtomicSystem, transformed: AtomicSystem,
-                           fa_mode: str, group: str) -> bool:
-    if fa_mode in ("full", "stochastic"):
-        return _multisets_match(
-            _canonical_signature(system, group),
-            _canonical_signature(transformed, group),
-        )
-    # No canonicalization: the raw inputs are the representations.
-    if np.abs(system.positions - transformed.positions).max() > POS_TOLERANCE:
-        return False
-    if (system.cell is None) != (transformed.cell is None):
-        return False
-    if system.cell is not None:
-        return np.abs(system.cell - transformed.cell).max() <= POS_TOLERANCE
     return True
 
 
@@ -181,11 +167,13 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
             continue
         audited += 1
         base = forward(model, system, fa_mode=fa_mode, group=group, rng=rng)
+        base_representation = _representation(system, fa_mode, group) if pos else None
         system_pct: list[float] = []
         for kind, panel in (("rotation", rotations), ("reflection", reflections)):
             for transform in panel:
                 moved = apply_transform(system, transform)
-                if pos and not _representations_match(system, moved, fa_mode, group):
+                if pos and not _multisets_match(base_representation,
+                                                _representation(moved, fa_mode, group)):
                     pos = 0
                 prediction = forward(model, moved, fa_mode=fa_mode, group=group, rng=rng)
                 gap = abs(prediction.energy - base.energy) * EV_TO_MEV

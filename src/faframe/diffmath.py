@@ -4,7 +4,8 @@ Everything is double precision and deterministic. Graphs are built by the
 module-level ops below; each op records its parents and a closure that
 scatters the output gradient back to them. ``backward`` seeds a scalar loss
 with gradient 1 and walks the graph in reverse topological order,
-accumulating into ``.grad``.
+accumulating into ``.grad``. Inside ``no_grad()`` ops record nothing, so
+inference keeps no tape.
 
 Only the compositions the network needs are supported; there is no general
 broadcasting. ``add`` accepts equal shapes, a trailing-axis bias vector, or
@@ -13,6 +14,8 @@ a scalar; ``mul`` accepts equal shapes or a scalar.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 from pathlib import Path
 
@@ -21,6 +24,8 @@ import numpy as np
 from .errors import NonScalarLoss, ShapeMismatch
 
 CHECKPOINT_VERSION = 1
+
+_recording = contextvars.ContextVar("diffmath_recording", default=True)
 
 
 class DiffValue:
@@ -56,6 +61,23 @@ def _as_value(x) -> DiffValue:
     return x if isinstance(x, DiffValue) else DiffValue(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside this block return plain values: no parents, no backward."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
+def _node(data, parents, backward) -> DiffValue:
+    """An op's output; it joins the tape unless recording is off."""
+    if _recording.get():
+        return DiffValue(data, parents, backward)
+    return DiffValue(data)
+
+
 def constant(data, name="") -> DiffValue:
     """Wrap an array as a graph leaf (gradients land here but are unused)."""
     return DiffValue(data, name=name)
@@ -65,14 +87,12 @@ def matmul(a, b) -> DiffValue:
     a, b = _as_value(a), _as_value(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul needs (n,k)@(k,m), got {a.data.shape} and {b.data.shape}")
-    out = DiffValue(a.data @ b.data, parents=(a, b))
 
     def backward(grad):
         a.accumulate_grad(grad @ b.data.T)
         b.accumulate_grad(a.data.T @ grad)
 
-    out._backward = backward
-    return out
+    return _node(a.data @ b.data, (a, b), backward)
 
 
 def add(a, b) -> DiffValue:
@@ -82,7 +102,6 @@ def add(a, b) -> DiffValue:
     scalar = sb == ()
     if not (sa == sb or bias or scalar):
         raise ShapeMismatch(f"add supports equal shapes, a trailing bias, or a scalar; got {sa} and {sb}")
-    out = DiffValue(a.data + b.data, parents=(a, b))
 
     def backward(grad):
         a.accumulate_grad(grad)
@@ -93,8 +112,7 @@ def add(a, b) -> DiffValue:
         else:
             b.accumulate_grad(grad.reshape(-1, sb[0]).sum(axis=0))
 
-    out._backward = backward
-    return out
+    return _node(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b) -> DiffValue:
@@ -102,7 +120,6 @@ def mul(a, b) -> DiffValue:
     sa, sb = a.data.shape, b.data.shape
     if not (sa == sb or sa == () or sb == ()):
         raise ShapeMismatch(f"mul supports equal shapes or a scalar factor, got {sa} and {sb}")
-    out = DiffValue(a.data * b.data, parents=(a, b))
 
     def backward(grad):
         ga = grad * b.data
@@ -110,15 +127,13 @@ def mul(a, b) -> DiffValue:
         a.accumulate_grad(ga if sa != () else ga.sum())
         b.accumulate_grad(gb if sb != () else gb.sum())
 
-    out._backward = backward
-    return out
+    return _node(a.data * b.data, (a, b), backward)
 
 
 def concat(values, axis: int) -> DiffValue:
     values = [_as_value(v) for v in values]
     if not values:
         raise ShapeMismatch("concat needs at least one input")
-    out = DiffValue(np.concatenate([v.data for v in values], axis=axis), parents=tuple(values))
     sizes = [v.data.shape[axis] for v in values]
     splits = np.cumsum(sizes)[:-1]
 
@@ -126,7 +141,39 @@ def concat(values, axis: int) -> DiffValue:
         for v, piece in zip(values, np.split(grad, splits, axis=axis)):
             v.accumulate_grad(piece)
 
-    out._backward = backward
+    return _node(np.concatenate([v.data for v in values], axis=axis), values, backward)
+
+
+def slice_rows(x, start: int, stop: int) -> DiffValue:
+    """Rows ``start:stop`` of a 2-D value, e.g. one block of a stacked weight."""
+    x = _as_value(x)
+    if x.data.ndim != 2 or not 0 <= start <= stop <= x.data.shape[0]:
+        raise ShapeMismatch(f"slice_rows [{start}:{stop}] does not fit shape {x.data.shape}")
+
+    def backward(grad):
+        # Add into the parent's block in place; no full-size temporary.
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[start:stop] += grad
+
+    return _node(x.data[start:stop], (x,), backward)
+
+
+def _scatter_rows(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """``out[i]`` is the sum of the rows ``values[ids == i]``; absent ids give 0.
+
+    Rows are summed with ``np.add.reduceat`` over runs of equal ids, one run
+    per id present, so no run is empty. Unsorted ids are first put in order
+    by a stable sort, which keeps each id's rows in their input order.
+    """
+    out = np.zeros((n,) + values.shape[1:])
+    if ids.size == 0:
+        return out
+    if (ids[1:] < ids[:-1]).any():
+        order = np.argsort(ids, kind="stable")
+        ids, values = ids[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    out[ids[starts]] = np.add.reduceat(values, starts, axis=0)
     return out
 
 
@@ -135,15 +182,11 @@ def gather_rows(x, index) -> DiffValue:
     index = np.asarray(index, dtype=np.int64)
     if index.ndim != 1:
         raise ShapeMismatch(f"gather_rows index must be 1-D, got shape {index.shape}")
-    out = DiffValue(x.data[index], parents=(x,))
 
     def backward(grad):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, index, grad)
-        x.accumulate_grad(gx)
+        x.accumulate_grad(_scatter_rows(grad, index, x.data.shape[0]))
 
-    out._backward = backward
-    return out
+    return _node(x.data[index], (x,), backward)
 
 
 def segment_sum(values, segment_ids, num_segments: int) -> DiffValue:
@@ -155,67 +198,66 @@ def segment_sum(values, segment_ids, num_segments: int) -> DiffValue:
         )
     if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
         raise ValueError("segment id out of range")
-    out_data = np.zeros((num_segments,) + values.data.shape[1:])
-    np.add.at(out_data, segment_ids, values.data)
-    out = DiffValue(out_data, parents=(values,))
 
     def backward(grad):
         values.accumulate_grad(grad[segment_ids])
 
-    out._backward = backward
-    return out
+    return _node(_scatter_rows(values.data, segment_ids, num_segments), (values,), backward)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign for overflow-free evaluation.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _stable_sigmoid(x) -> np.ndarray:
+    # 1 / (1 + exp(-x)) in one buffer. For x below about -709, exp overflows
+    # to inf and the reciprocal is the exact 0, so the overflow is silenced.
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        out = np.negative(x, out=np.empty(x.shape))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def sigmoid(x) -> DiffValue:
     x = _as_value(x)
     data = _stable_sigmoid(x.data)
-    out = DiffValue(data, parents=(x,))
 
     def backward(grad):
         x.accumulate_grad(grad * data * (1.0 - data))
 
-    out._backward = backward
-    return out
+    return _node(data, (x,), backward)
 
 
 def swish(x) -> DiffValue:
     x = _as_value(x)
     sig = _stable_sigmoid(x.data)
-    out = DiffValue(x.data * sig, parents=(x,))
+    data = x.data * sig
 
     def backward(grad):
-        x.accumulate_grad(grad * (sig + x.data * sig * (1.0 - sig)))
+        # d(x s)/dx = s + x s (1 - s) = s + out (1 - s)
+        local = 1.0 - sig
+        local *= data
+        local += sig
+        local *= grad
+        x.accumulate_grad(local)
 
-    out._backward = backward
-    return out
+    return _node(data, (x,), backward)
 
 
 def mean(x) -> DiffValue:
     x = _as_value(x)
-    out = DiffValue(np.mean(x.data), parents=(x,))
 
     def backward(grad):
         x.accumulate_grad(np.full_like(x.data, grad / x.data.size))
 
-    out._backward = backward
-    return out
+    return _node(np.mean(x.data), (x,), backward)
 
 
 def sum_all(x) -> DiffValue:
     x = _as_value(x)
-    out = DiffValue(np.sum(x.data), parents=(x,))
 
     def backward(grad):
         x.accumulate_grad(np.full_like(x.data, grad))
 
-    out._backward = backward
-    return out
+    return _node(np.sum(x.data), (x,), backward)
 
 
 def mse_loss(prediction, target) -> DiffValue:
@@ -225,15 +267,13 @@ def mse_loss(prediction, target) -> DiffValue:
             f"mse_loss shapes differ: {prediction.data.shape} vs {target.data.shape}"
         )
     diff = prediction.data - target.data
-    out = DiffValue(np.mean(diff * diff), parents=(prediction, target))
     scale = 2.0 / max(diff.size, 1)
 
     def backward(grad):
         prediction.accumulate_grad(grad * scale * diff)
         target.accumulate_grad(-grad * scale * diff)
 
-    out._backward = backward
-    return out
+    return _node(np.mean(diff * diff), (prediction, target), backward)
 
 
 def binary_cross_entropy_with_logits(logits, targets) -> DiffValue:
@@ -245,7 +285,6 @@ def binary_cross_entropy_with_logits(logits, targets) -> DiffValue:
     x, y = logits.data, targets.data
     # max(x, 0) - x*y + log(1 + exp(-|x|)) is the overflow-safe form.
     loss = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    out = DiffValue(np.mean(loss), parents=(logits, targets))
     sig = _stable_sigmoid(x)
     scale = 1.0 / max(x.size, 1)
 
@@ -253,12 +292,17 @@ def binary_cross_entropy_with_logits(logits, targets) -> DiffValue:
         logits.accumulate_grad(grad * scale * (sig - y))
         targets.accumulate_grad(-grad * scale * x)
 
-    out._backward = backward
-    return out
+    return _node(np.mean(loss), (logits, targets), backward)
 
 
 def backward(loss: DiffValue):
-    """Backpropagate from a scalar loss through its whole graph."""
+    """Backpropagate from a scalar loss through its whole graph.
+
+    Leaves (nodes without a backward rule, parameters among them) keep the
+    gradient they accumulate. Every other node's ``.grad`` is dropped as
+    soon as its rule has passed it on, so intermediate gradients do not pile
+    up over the walk.
+    """
     if loss.data.shape != ():
         raise NonScalarLoss(f"backward needs a scalar, got shape {loss.data.shape}")
 
@@ -284,6 +328,7 @@ def backward(loss: DiffValue):
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 class AdamW:

@@ -286,9 +286,18 @@ def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffVal
     variant = model.config.mp_variant
     prefix = f"interaction.{layer}"
     if variant == "standard":
-        gate_in = dm.concat([e, dm.gather_rows(h, dst), dm.gather_rows(h, src)], axis=1)
-        gate = dm.swish(dm.add(dm.matmul(gate_in, params[f"{prefix}.filter_w"]),
-                               params[f"{prefix}.filter_b"]))
+        # concat([e, h[dst], h[src]]) @ filter_w + filter_b, one row block
+        # of filter_w per part. The node blocks (and the bias, carried by
+        # the dst block) are applied per node, then gathered to the edges.
+        f, hidden = model.config.num_filters, model.config.hidden_channels
+        weight = params[f"{prefix}.filter_w"]
+        per_dst = dm.add(dm.matmul(h, dm.slice_rows(weight, f, f + hidden)),
+                         params[f"{prefix}.filter_b"])
+        per_src = dm.matmul(h, dm.slice_rows(weight, f + hidden, f + 2 * hidden))
+        gate_in = dm.add(dm.add(dm.matmul(e, dm.slice_rows(weight, 0, f)),
+                                dm.gather_rows(per_dst, dst)),
+                         dm.gather_rows(per_src, src))
+        gate = dm.swish(gate_in)
     elif variant == "simple":
         gate = dm.swish(dm.add(dm.matmul(e, params[f"{prefix}.filter_w"]),
                                params[f"{prefix}.filter_b"]))
@@ -335,7 +344,8 @@ def forward(model: FAENetModel, system: AtomicSystem, fa_mode: str = "full",
     """Predict energy (and forces if configured) for one system."""
     plan = plan_views([system], fa_mode, group, rng)
     batch = _make_batch(plan.views, model.config)
-    energy, forces = _net(model, batch, want_forces=model.config.predict_forces)
+    with dm.no_grad():
+        energy, forces = _net(model, batch, want_forces=model.config.predict_forces)
     energy_value = float(np.mean(energy.data))
     force_value = None
     if forces is not None:
@@ -483,6 +493,10 @@ def _gradcheck_cases(rng: np.random.Generator):
     values = rng.standard_normal((6, 3))
     segments = np.array([1, 0, 2, 1, 1, 0])
     cases["segment_sum"] = ([values], lambda v: quadratic(dm.segment_sum(v[0], segments, 3)))
+    # Two blocks of one parent, as the filter takes from filter_w; rows 0
+    # and 5 stay outside both.
+    cases["slice_rows"] = ([values], lambda v: quadratic(
+        dm.add(dm.slice_rows(v[0], 1, 3), dm.slice_rows(v[0], 3, 5))))
 
     z = rng.standard_normal((3, 4))
     cases["swish"] = ([z], lambda v: quadratic(dm.swish(v[0])))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffExceedsImageRange, NonFiniteInput
+from .errors import CutoffExceedsImageRange, NonFiniteInput, UnknownElement
 
 ORTHONORMAL_TOL = 1e-10
 CELL_DET_TOL = 1e-10
@@ -40,6 +40,23 @@ def normalize_group(group: str) -> str:
     if token in TRANSFORM_GROUPS:
         return token
     raise ValueError(f"unknown group {group!r}; expected one of {TRANSFORM_GROUPS}")
+
+
+def _atomic_numbers(values) -> np.ndarray:
+    """Atomic numbers as int64; whole-valued floats pass, nothing is truncated."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf":  # bools are kind "b"
+        raise UnknownElement(
+            f"atomic numbers must be integers, got {raw.dtype} values {raw.ravel()[:3].tolist()}"
+        )
+    if raw.dtype.kind == "f":
+        fractional = raw[~np.isfinite(raw) | (raw != np.round(raw))]
+        if fractional.size:
+            raise UnknownElement(f"atomic number {fractional[0].item()!r} is not an integer")
+    below = raw[raw < 1]
+    if below.size:
+        raise UnknownElement(f"atomic number {below[0].item()!r} is below 1")
+    return raw.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -69,13 +86,11 @@ class AtomicSystem:
             raise ValueError(f"positions must be (n, 3) with n >= 1, got {positions.shape}")
         if not np.isfinite(positions).all():
             raise NonFiniteInput("positions contain NaN or inf")
-        numbers = np.asarray(self.atomic_numbers, dtype=np.int64)
+        numbers = _atomic_numbers(self.atomic_numbers)
         if numbers.shape != (positions.shape[0],):
             raise ValueError(
                 f"atomic_numbers shape {numbers.shape} does not match {positions.shape[0]} atoms"
             )
-        if np.any(numbers < 1):
-            raise ValueError("atomic numbers must be >= 1")
         pbc = tuple(bool(flag) for flag in self.pbc)
         if len(pbc) != 3:
             raise ValueError("pbc must have exactly three flags")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from faframe import audit, frames
 from faframe.audit import (
     METHODS,
     SymmetryReport,
@@ -44,6 +45,29 @@ def fixed_systems(seed, count=4):
             AtomicSystem(rng.standard_normal((n, 3)) * 1.5, rng.integers(1, 20, size=n))
         )
     return systems
+
+
+def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
+    # The base system is framed for the degeneracy check, its prediction and
+    # its canonical views: three times, however many transforms are probed.
+    systems = fixed_systems(1, count=2)
+    framed = []
+    real = frames.compute_frame
+
+    def counting(system, *args, **kwargs):
+        framed.append(system)
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "compute_frame", counting)
+    monkeypatch.setattr(audit, "compute_frame", counting)
+    model = FAENetModel(FORCE_CONFIG, np.random.default_rng(0))
+    report = audit_model(model, systems, fa_mode="full", num_transforms=3,
+                         rng=np.random.default_rng(2))
+    assert report.pos == 1
+    for system in systems:
+        assert sum(s is system for s in framed) == 3
+    # each of the 2 x 3 moved copies: its canonical views and its prediction
+    assert len(framed) == len(systems) * (3 + 2 * 3 * 2)
 
 
 def test_full_mode_is_invariant_to_machine_precision():

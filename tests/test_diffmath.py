@@ -1,5 +1,7 @@
 """Reverse-mode autodiff core: op gradients, optimizer, checkpoints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,55 @@ def test_segment_sum_matches_loop():
         for row, seg in zip(values, ids):
             expected[seg] += row
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+# Index patterns for the scatter kernel: (ids, number of rows scattered into).
+SCATTER_CASES = {
+    "sorted": (np.array([0, 0, 1, 2, 2, 2]), 3),
+    "unsorted_repeated": (np.array([2, 0, 2, 1, 0, 2, 2]), 3),
+    "empty_segments": (np.array([4, 1, 1, 4, 6]), 8),
+    "one_segment": (np.array([3, 3, 3, 3]), 5),
+    "zero_length": (np.zeros(0, dtype=np.int64), 4),
+}
+
+
+def _loop_scatter(values, ids, n):
+    out = np.zeros((n,) + values.shape[1:])
+    for row, i in zip(values, ids):
+        out[i] += row
+    return out
+
+
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_segment_sum_forward_and_backward_match_loop(case, width):
+    ids, n = SCATTER_CASES[case]
+    rng = np.random.default_rng(len(ids))
+    shape = (len(ids),) if width is None else (len(ids), width)
+    values = dm.DiffValue(rng.standard_normal(shape))
+    out = dm.segment_sum(values, ids, n)
+    np.testing.assert_allclose(out.data, _loop_scatter(values.data, ids, n), rtol=0, atol=1e-12)
+
+    weights = rng.standard_normal(out.shape)
+    dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))
+    expected = np.zeros(shape)
+    for row, i in enumerate(ids):
+        expected[row] = weights[i]
+    np.testing.assert_array_equal(values.grad, expected)
+
+
+@pytest.mark.parametrize("width", [None, 3])
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_gather_rows_forward_and_backward_match_loop(case, width):
+    index, n = SCATTER_CASES[case]
+    rng = np.random.default_rng(len(index) + 1)
+    table = dm.DiffValue(rng.standard_normal((n,) if width is None else (n, width)))
+    out = dm.gather_rows(table, index)
+    np.testing.assert_array_equal(out.data, table.data[index])
+
+    weights = rng.standard_normal(out.shape)
+    dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))
+    np.testing.assert_allclose(table.grad, _loop_scatter(weights, index, n), rtol=0, atol=1e-12)
 
 
 def test_segment_sum_rejects_out_of_range_ids():
@@ -177,6 +228,91 @@ def test_segment_sum_backward_routes_by_segment():
     np.testing.assert_array_equal(
         values.grad, [[1, 1], [10, 10], [1, 1], [100, 100]]
     )
+
+
+def test_slice_rows_blocks_share_the_parent_grad():
+    weight = dm.DiffValue(np.arange(12.0).reshape(6, 2))
+    top, middle = dm.slice_rows(weight, 0, 2), dm.slice_rows(weight, 2, 5)
+    np.testing.assert_array_equal(middle.data, weight.data[2:5])
+    dm.backward(dm.add(dm.sum_all(dm.mul(top, top)), dm.sum_all(middle)))
+    expected = np.zeros((6, 2))
+    expected[0:2] = 2.0 * weight.data[0:2]
+    expected[2:5] = 1.0
+    np.testing.assert_array_equal(weight.grad, expected)
+    with pytest.raises(ShapeMismatch):
+        dm.slice_rows(weight, 4, 7)
+
+
+def test_stable_sigmoid_saturates_exactly_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = dm._stable_sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        assert dm._stable_sigmoid(1000.0) == 1.0
+        assert dm._stable_sigmoid(-1000.0) == 0.0
+        swished = dm.swish(dm.DiffValue(np.array([-1000.0, 1000.0])))
+    np.testing.assert_array_equal(values, [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(swished.data, [-0.0, 1000.0])
+
+
+# ------------------------------------------------------------------- no tape
+
+
+def _every_op():
+    """One output of each op on small inputs."""
+    x = dm.DiffValue(np.arange(6.0).reshape(3, 2) - 2.0)
+    w = dm.DiffValue(np.ones((2, 2)))
+    labels = dm.constant(np.full((3, 2), 0.5))
+    return {
+        "matmul": dm.matmul(x, w),
+        "add": dm.add(x, x),
+        "mul": dm.mul(x, x),
+        "concat": dm.concat([x, x], axis=0),
+        "slice_rows": dm.slice_rows(x, 1, 3),
+        "gather_rows": dm.gather_rows(x, [2, 0]),
+        "segment_sum": dm.segment_sum(x, [1, 1, 0], 2),
+        "sigmoid": dm.sigmoid(x),
+        "swish": dm.swish(x),
+        "mean": dm.mean(x),
+        "sum_all": dm.sum_all(x),
+        "mse_loss": dm.mse_loss(x, labels),
+        "binary_cross_entropy_with_logits": dm.binary_cross_entropy_with_logits(x, labels),
+    }
+
+
+def test_no_grad_records_no_tape():
+    taped = _every_op()
+    with dm.no_grad():
+        untaped = _every_op()
+    for name, out in untaped.items():
+        assert out._parents == () and out._backward is None, name
+        assert taped[name]._parents and taped[name]._backward is not None, name
+        np.testing.assert_array_equal(out.data, taped[name].data)
+
+
+def test_no_grad_is_restored_after_an_exception():
+    with pytest.raises(ShapeMismatch):
+        with dm.no_grad():
+            dm.matmul(dm.DiffValue(np.ones((2, 3))), dm.DiffValue(np.ones((2, 3))))
+    x = dm.DiffValue(np.ones(2))
+    assert dm.add(x, x)._parents == (x, x)
+    with dm.no_grad():
+        with dm.no_grad():
+            pass
+        assert dm.add(x, x)._parents == ()
+    assert dm.add(x, x)._backward is not None
+
+
+def test_backward_keeps_leaf_grads_and_drops_the_rest():
+    w = dm.DiffValue(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    x = dm.constant(np.array([[2.0, 1.0]]))
+    hidden = dm.matmul(x, w)
+    squared = dm.mul(hidden, hidden)
+    loss = dm.sum_all(squared)
+    dm.backward(loss)
+    # d/dw sum((x w)^2) = x^T (2 x w)
+    np.testing.assert_array_equal(w.grad, x.data.T @ (2.0 * (x.data @ w.data)))
+    np.testing.assert_array_equal(x.grad, 2.0 * (x.data @ w.data) @ w.data.T)
+    assert hidden.grad is None and squared.grad is None and loss.grad is None
 
 
 # ----------------------------------------------------------------- optimizer

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from faframe import diffmath as dm
+from faframe import faenet
 from faframe.errors import NoForcesRequested, NonFiniteLoss, UnknownElement
 from faframe.frames import canonicalize, compute_frame
 from faframe.geometry import (
@@ -82,6 +83,49 @@ def test_embed_shapes():
     assert e.shape == (graph.src.size, TINY.num_filters)
     out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, batch.num_atoms)
     assert out.shape == (5, TINY.hidden_channels)
+
+
+def test_standard_filter_matches_concatenated_edge_inputs():
+    # The filter multiplies filter_w's node blocks per node; the reference
+    # multiplies the concatenated per-edge inputs, as the layer is defined.
+    rng = np.random.default_rng(4)
+    model = FAENetModel(TINY, rng)
+    p = {name: v.data for name, v in model.params.items()}
+    system = random_system(rng, n=7)
+    batch = _make_batch([system], TINY)
+    h, e = _embed_arrays(model, batch)
+    src, dst = batch.src, batch.dst
+    out = _interaction_arrays(model, 0, h, e, src, dst, batch.num_atoms)
+
+    gate_in = np.concatenate([e.data, h.data[dst], h.data[src]], axis=1)
+    gate = swish_np(gate_in @ p["interaction.0.filter_w"] + p["interaction.0.filter_b"])
+    messages = gate * (h.data @ p["interaction.0.node_w"])[src]
+    aggregated = np.zeros((batch.num_atoms, TINY.num_filters))
+    for row, target in zip(messages, dst):
+        aggregated[target] += row
+    update = aggregated @ p["interaction.0.update_w"] + p["interaction.0.update_b"]
+    expected = h.data + swish_np(update)
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_forward_keeps_no_tape(monkeypatch):
+    rng = np.random.default_rng(5)
+    model = FAENetModel(GRADCHECK_CONFIG, rng)
+    outputs = []
+    real_net = faenet._net
+
+    def recording_net(*args, **kwargs):
+        outputs.append(real_net(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(faenet, "_net", recording_net)
+    forward(model, random_system(rng, n=5), fa_mode="full")
+    (energy, forces), = outputs
+    for value in (energy, forces):
+        assert value._parents == () and value._backward is None
+    systems = [random_system(rng, n=4)]
+    taped, _ = training_forward(model, systems, "full", E3, None, False)
+    assert taped._parents and taped._backward is not None
 
 
 def test_isolated_atom_matches_closed_form():

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from faframe.errors import CutoffExceedsImageRange, NonFiniteInput
+from faframe.errors import CutoffExceedsImageRange, FaframeError, NonFiniteInput, UnknownElement
 from faframe.geometry import (
     E3,
     SE3,
@@ -341,3 +341,24 @@ def test_non_finite_cell_rejected():
     for pbc in ((True, True, True), (False, False, False)):
         with pytest.raises(NonFiniteInput, match="cell"):
             AtomicSystem(np.zeros((2, 3)), np.array([1, 1]), cell=cell, pbc=pbc)
+
+
+@pytest.mark.parametrize("numbers, named", [
+    ([6.7], "6.7"),
+    ([6.0, 1.5], "1.5"),
+    ([np.nan], "nan"),
+    ([True], "True"),
+    ([0], "0"),
+    ([6, -2], "-2"),
+    (["C"], "C"),
+])
+def test_bad_atomic_numbers_rejected_not_truncated(numbers, named):
+    with pytest.raises(UnknownElement, match=named) as err:
+        AtomicSystem(np.zeros((len(numbers), 3)), numbers)
+    assert isinstance(err.value, FaframeError)
+
+
+def test_whole_float_atomic_numbers_accepted():
+    system = AtomicSystem(np.zeros((2, 3)), np.array([6.0, 1.0]))
+    assert system.atomic_numbers.dtype == np.int64
+    np.testing.assert_array_equal(system.atomic_numbers, [6, 1])
