@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoForcesRequested
 from .faenet import FAENetConfig, FAENetModel, forward
-from .frames import compute_frame, plan_views
+from .frames import canonicalize, compute_frame
 from .geometry import (
     E3,
     SE3,
@@ -94,7 +94,7 @@ def _representation(system: AtomicSystem, fa_mode: str, group: str):
     """What the model is shown of a system: positions plus cell rows, if any,
     of each canonical view, or of the raw input when nothing is canonicalized."""
     if fa_mode in ("full", "stochastic"):
-        views = plan_views([system], "full", group).views
+        views = [canonicalize(system, el).system for el in compute_frame(system, group).elements]
     else:
         views = [system]
     return [

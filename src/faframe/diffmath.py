@@ -205,6 +205,19 @@ def segment_sum(values, segment_ids, num_segments: int) -> DiffValue:
     return _node(_scatter_rows(values.data, segment_ids, num_segments), (values,), backward)
 
 
+def rotate_rows(x, matrices) -> DiffValue:
+    """``out[r] = x[r] @ matrices[r]``: each row times its own constant matrix."""
+    x = _as_value(x)
+    matrices = np.asarray(matrices, dtype=np.float64)
+    if x.data.ndim != 2 or matrices.ndim != 3 or matrices.shape[:2] != x.data.shape:
+        raise ShapeMismatch(f"rotate_rows needs (n,k)@(n,k,m), got {x.data.shape} and {matrices.shape}")
+
+    def backward(grad):
+        x.accumulate_grad(np.einsum("nj,nij->ni", grad, matrices))
+
+    return _node(np.einsum("ni,nij->nj", x.data, matrices), (x,), backward)
+
+
 def _stable_sigmoid(x) -> np.ndarray:
     # 1 / (1 + exp(-x)) in one buffer. For x below about -709, exp overflows
     # to inf and the reciprocal is the exact 0, so the overflow is silenced.
@@ -349,25 +362,37 @@ class AdamW:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        # Two rows sized to the largest parameter hold every temporary of a step.
+        self._scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
 
     def step(self):
+        # In place, in the order of p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)
+        # with m += (1 - b1) g and v += ((1 - b2) g) g, through the scratch.
         self.step_count += 1
         t = self.step_count
+        m_scale = 1.0 - self.beta1**t
+        v_scale = 1.0 - self.beta2**t
         for p, m, v in zip(self.params, self._m, self._v):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+            grad = p.grad if p.grad is not None else 0.0
+            a, b = (half[:p.data.size].reshape(p.data.shape) for half in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p.data -= self.learning_rate * (
-                m_hat / (np.sqrt(v_hat) + self.epsilon) + self.weight_decay * p.data
-            )
+            np.multiply(grad, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, grad, out=a)
+            np.divide(v, v_scale, out=a)
+            np.sqrt(a, out=a)
+            a += self.epsilon
+            np.divide(m, m_scale, out=b)
+            b /= a
+            np.multiply(p.data, self.weight_decay, out=a)
+            a += b
+            a *= self.learning_rate
+            p.data -= a
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,

@@ -1,8 +1,10 @@
 """A compact invariant/equivariant GNN trained on frame-averaged views.
 
-The backbone never sees raw coordinates: every input is first projected to
-one or more canonical views (see :mod:`faframe.frames`), the network runs
-on each view's radius graph, and outputs are mapped back and averaged.
+The backbone never sees raw coordinates: every input is first planned
+into one or more views (see :mod:`faframe.frames`), each a rotation of the
+input. The network runs on the system's radius graph, built once in the
+input pose, with the edge vectors turned into each view's axes; outputs
+are mapped back and averaged.
 Energies are per-system scalars; forces, when enabled, come from a direct
 per-atom head evaluated in canonical axes.
 
@@ -25,7 +27,7 @@ from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
 from .errors import NonFiniteLoss, NoForcesRequested, UnknownElement
 from .frames import ViewPlan, plan_views
-from .geometry import E3, AtomicSystem, RadiusGraph, build_radius_graph
+from .geometry import E3, AtomicSystem, build_radius_graph
 
 MP_VARIANTS = ("standard", "simple", "basic")
 ENERGY_HEADS = ("weighted", "simple")
@@ -219,8 +221,10 @@ class _Batch(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
     atom_output: np.ndarray
+    atom_input: np.ndarray
     num_outputs: int
     num_atoms: int
+    num_input_atoms: int
 
 
 def _validate_numbers(numbers: np.ndarray):
@@ -229,24 +233,31 @@ def _validate_numbers(numbers: np.ndarray):
         raise UnknownElement(f"atomic number {int(bad[0])} outside 1..{MAX_ATOMIC_NUMBER}")
 
 
-def _edge_feature_block(config: FAENetConfig, graph: RadiusGraph) -> np.ndarray:
-    radial = rbf(graph.distances, config.num_gaussians, config.cutoff)
-    return np.concatenate([graph.rel_vectors, radial], axis=1)
+def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
+                config: FAENetConfig) -> _Batch:
+    """Merge a plan's views into one disjoint graph, one output per view.
 
-
-def _make_batch(views: Sequence[AtomicSystem], config: FAENetConfig) -> _Batch:
-    """Merge per-view radius graphs into one disjoint graph, one output per view."""
-    z_parts, edge_parts, src_parts, dst_parts, out_parts = [], [], [], [], []
+    Each system's radius graph and radial block are built once, in its input
+    pose; every view of it shares them and turns the edge vectors by the
+    view's rotation. Row ``r`` of the batch is input atom ``atom_input[r]``
+    (atoms of all systems numbered in order) seen in view ``atom_output[r]``.
+    """
+    for system in systems:
+        _validate_numbers(system.atomic_numbers)
+    graphs = [build_radius_graph(s, config.cutoff, config.max_neighbors) for s in systems]
+    radials = [rbf(g.distances, config.num_gaussians, config.cutoff) for g in graphs]
+    firsts = np.cumsum([0] + [system.num_atoms for system in systems])
+    z_parts, edge_parts, src_parts, dst_parts, out_parts, in_parts = [], [], [], [], [], []
     offset = 0
-    for out_id, view in enumerate(views):
-        _validate_numbers(view.atomic_numbers)
-        graph = build_radius_graph(view, config.cutoff, config.max_neighbors)
-        z_parts.append(view.atomic_numbers - 1)
-        edge_parts.append(_edge_feature_block(config, graph))
+    for view, (index, rotation) in enumerate(zip(plan.sample, plan.rotation)):
+        system, graph = systems[index], graphs[index]
+        z_parts.append(system.atomic_numbers - 1)
+        edge_parts.append(np.concatenate([graph.rel_vectors @ rotation, radials[index]], axis=1))
         src_parts.append(graph.src + offset)
         dst_parts.append(graph.dst + offset)
-        out_parts.append(np.full(view.num_atoms, out_id, dtype=np.int64))
-        offset += view.num_atoms
+        out_parts.append(np.full(system.num_atoms, view, dtype=np.int64))
+        in_parts.append(np.arange(firsts[index], firsts[index + 1]))
+        offset += system.num_atoms
     z_index = np.concatenate(z_parts)
     prop_rows = None
     if config.property_table is not None:
@@ -258,8 +269,10 @@ def _make_batch(views: Sequence[AtomicSystem], config: FAENetConfig) -> _Batch:
         src=np.concatenate(src_parts),
         dst=np.concatenate(dst_parts),
         atom_output=np.concatenate(out_parts),
-        num_outputs=len(views),
+        atom_input=np.concatenate(in_parts),
+        num_outputs=len(plan.sample),
         num_atoms=offset,
+        num_input_atoms=int(firsts[-1]),
     )
 
 
@@ -343,19 +356,11 @@ def forward(model: FAENetModel, system: AtomicSystem, fa_mode: str = "full",
             group: str = E3, rng: np.random.Generator | None = None) -> Prediction:
     """Predict energy (and forces if configured) for one system."""
     plan = plan_views([system], fa_mode, group, rng)
-    batch = _make_batch(plan.views, model.config)
+    batch = _make_batch([system], plan, model.config)
     with dm.no_grad():
-        energy, forces = _net(model, batch, want_forces=model.config.predict_forces)
-    energy_value = float(np.mean(energy.data))
-    force_value = None
-    if forces is not None:
-        stacked = forces.data.reshape(len(plan.views), system.num_atoms, 3)
-        mapped = [
-            block if rotation is None else block @ rotation
-            for block, rotation in zip(stacked, plan.back)
-        ]
-        force_value = np.mean(mapped, axis=0)
-    return Prediction(energy=energy_value, forces=force_value)
+        energy, forces = _average_views(model, plan, batch, model.config.predict_forces)
+    return Prediction(energy=float(energy.data[0, 0]),
+                      forces=None if forces is None else forces.data)
 
 
 class TrainSample(NamedTuple):
@@ -375,34 +380,24 @@ def training_forward(model: FAENetModel, systems: list[AtomicSystem], fa_mode: s
     same path the predictions took.
     """
     plan = plan_views(systems, fa_mode, group, rng)
-    return _average_views(model, plan, _make_batch(plan.views, model.config), want_forces)
+    return _average_views(model, plan, _make_batch(systems, plan, model.config), want_forces)
 
 
 def _average_views(model: FAENetModel, plan: ViewPlan, batch: _Batch,
                    want_forces: bool) -> tuple[DiffValue, DiffValue | None]:
-    """Run the net on a plan's batch and take each system's weighted view mean."""
+    """Run the net on a plan's batch and take each system's weighted view mean.
+
+    Force rows return to the input pose in one batched back-rotation: each
+    row by its view's ``rotation.T``, scaled by the view's weight.
+    """
     energy_views, force_views = _net(model, batch, want_forces)
     weighted = dm.mul(energy_views, dm.constant(plan.weight[:, None]))
     energy = dm.segment_sum(weighted, plan.sample, plan.num_systems)
     if force_views is None:
         return energy, None
-
-    # Every view of a system has that system's atoms, in input order.
-    view_sizes = np.array([view.num_atoms for view in plan.views])
-    system_sizes = np.zeros(plan.num_systems, dtype=np.int64)
-    system_sizes[plan.sample] = view_sizes
-    row_starts = np.concatenate(([0], np.cumsum(view_sizes)))
-    target_starts = np.concatenate(([0], np.cumsum(system_sizes)))
-    pieces, atom_targets = [], []
-    for v, (sample, rotation, weight) in enumerate(zip(plan.sample, plan.back, plan.weight)):
-        block = dm.gather_rows(force_views, np.arange(row_starts[v], row_starts[v + 1]))
-        if rotation is not None:
-            block = dm.matmul(block, dm.constant(rotation))
-        pieces.append(dm.mul(block, dm.constant(np.asarray(weight))))
-        atom_targets.append(np.arange(target_starts[sample], target_starts[sample + 1]))
-    forces = dm.segment_sum(dm.concat(pieces, axis=0), np.concatenate(atom_targets),
-                            int(target_starts[-1]))
-    return energy, forces
+    back = plan.rotation.transpose(0, 2, 1) * plan.weight[:, None, None]
+    rows = dm.rotate_rows(force_views, back[batch.atom_output])
+    return energy, dm.segment_sum(rows, batch.atom_input, batch.num_input_atoms)
 
 
 def train_step(model: FAENetModel, batch: list, optimizer: dm.AdamW, *,
@@ -498,6 +493,12 @@ def _gradcheck_cases(rng: np.random.Generator):
     cases["slice_rows"] = ([values], lambda v: quadratic(
         dm.add(dm.slice_rows(v[0], 1, 3), dm.slice_rows(v[0], 3, 5))))
 
+    # One matrix per row, as in the force back-rotation. A child stream keeps
+    # the draws after this case, the model's weights among them, unchanged.
+    local = rng.spawn(1)[0]
+    rows, matrices = local.standard_normal((5, 3)), local.standard_normal((5, 3, 3))
+    cases["rotate_rows"] = ([rows], lambda v: quadratic(dm.rotate_rows(v[0], matrices)))
+
     z = rng.standard_normal((3, 4))
     cases["swish"] = ([z], lambda v: quadratic(dm.swish(v[0])))
     cases["sigmoid"] = ([z], lambda v: quadratic(dm.sigmoid(v[0])))
@@ -576,7 +577,7 @@ def run_gradient_check(config: FAENetConfig | None = None, seed: int = 0) -> dic
     # Full-frame views and graphs do not depend on parameters, so they are
     # prepared once; each loss evaluation reruns only the net.
     plan = plan_views(systems, "full", E3)
-    batch = _make_batch(plan.views, config)
+    batch = _make_batch(systems, plan, config)
 
     def build_loss():
         energy, forces = _average_views(model, plan, batch, want_forces)
@@ -587,29 +588,11 @@ def run_gradient_check(config: FAENetConfig | None = None, seed: int = 0) -> dic
 
     loss = build_loss()
     dm.backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in model.params.items()
-    }
-    for p in model.params.values():
-        p.zero_grad()
-
-    worst_model = 0.0
-    step = 1e-5
-    for name, p in model.params.items():
-        numeric = np.zeros_like(p.data)
-        flat = p.data.ravel()
-        nflat = numeric.ravel()
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            up = float(build_loss().data)
-            flat[i] = original - step
-            down = float(build_loss().data)
-            flat[i] = original
-            nflat[i] = (up - down) / (2.0 * step)
-        worst_model = max(worst_model, _relative_error(analytic[name], numeric))
-    errors["full_forward_loss"] = worst_model
+    params = list(model.params.values())
+    analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    numerical = dm.numerical_gradient(lambda _: float(build_loss().data),
+                                      [p.data for p in params])
+    errors["full_forward_loss"] = max(_relative_error(a, n) for a, n in zip(analytic, numerical))
 
     worst_op = max(errors, key=errors.get)
     max_err = errors[worst_op]

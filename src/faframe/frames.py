@@ -1,26 +1,34 @@
 """PCA frames, canonicalization, and frame-averaged prediction.
 
 A frame of a system is a small set of rigid motions built from the
-eigendecomposition of the position covariance. Averaging any backbone's
-predictions over the canonical views selected by the frame makes the
-composite exactly invariant (scalars) or equivariant (per-atom vectors)
-under the chosen group, at the cost of one backbone evaluation per frame
-element instead of an integral over the whole group.
+eigendecomposition of the position covariance. All elements share the
+centroid translation and differ only in the signs of the eigenvector
+columns of one rotation, so every canonical view is the same centred
+structure turned by a different rotation U. Averaging any backbone's
+predictions over those views makes the composite exactly invariant
+(scalars) or equivariant (per-atom vectors) under the chosen group, at the
+cost of one backbone evaluation per frame element instead of an integral
+over the whole group.
 
 Groups: E3 keeps all eight eigenvector sign choices, SE3 the four with
 det +1, and Z_AXIS_2D the two in-plane rotations from the 2x2 covariance
 of x and y with the z axis pinned upward.
 
-The view plan lives here too: :func:`plan_views` turns a batch of systems
-and an ``fa_mode`` into the views a backbone evaluates and the rotations
-that map each view's vector outputs back to its input pose. Inference,
-training and gradient checking in :mod:`faframe.faenet`, the audit, and
-the generic predictors below all average over such a plan.
+Cell rows are lattice vectors: a canonical view rotates them with the
+positions and never translates them.
+
+A view is a rotation of its input system. :func:`plan_views` turns a batch
+of systems and an ``fa_mode`` into one rotation per view; distances, and so
+neighbour graphs, are the same in every view. Inference, training and
+gradient checking in :mod:`faframe.faenet` build each system's graph once
+and turn its edge vectors per view; the audit and the generic predictors
+below average over the same views.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +40,6 @@ from .geometry import (
     Z_AXIS_2D,
     AtomicSystem,
     EuclideanTransform,
-    apply_transform,
     normalize_group,
     random_transform,
 )
@@ -44,34 +51,43 @@ FA_MODES = ("full", "stochastic", "none", "data_augment")
 DEGENERACY_RTOL = 1e-6
 DEGENERACY_FLOOR = 1e-12
 
+# Column signs of the frame elements, in element order (first column's sign
+# varies slowest). Z_AXIS_2D never flips the pinned z axis.
+_SIGNS_3D = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+_SIGNS_2D = _SIGNS_3D[_SIGNS_3D[:, 2] > 0]
+
 
 @dataclass(frozen=True)
 class Frame:
     """Frame of a system: shared centroid translation, one rotation per element.
 
-    ``eigenvalues`` are the covariance eigenvalues in descending order (the
+    ``rotations`` is the ``(k, 3, 3)`` stack of element rotations and
+    ``eigenvalues`` the covariance eigenvalues in descending order (the
     third entry is zero for Z_AXIS_2D). A degenerate frame signals that some
     eigenvalue gap vanished; it carries a single identity element at the
     centroid and voids the invariance guarantees.
     """
 
-    elements: tuple[EuclideanTransform, ...]
+    rotations: np.ndarray
+    translation: np.ndarray
     eigenvalues: np.ndarray
     group: str
     degenerate: bool
 
     @property
-    def translation(self) -> np.ndarray:
-        return self.elements[0].translation
+    def elements(self) -> tuple[EuclideanTransform, ...]:
+        """The elements as rigid motions, built on each access."""
+        return tuple(EuclideanTransform(rotation, self.translation)
+                     for rotation in self.rotations)
 
 
 @dataclass(frozen=True)
 class CanonicalView:
     """A system re-expressed in the axes of one frame element.
 
-    Positions are ``(X - t) @ U`` and the cell rows are mapped the same way,
-    so the projected centroid sits at the origin and the position covariance
-    is diagonal.
+    Positions are ``(X - t) @ U`` and the cell rows ``cell @ U``: lattice
+    vectors rotate and never translate. The projected centroid sits at the
+    origin and the position covariance is diagonal.
     """
 
     system: AtomicSystem
@@ -93,7 +109,13 @@ def _relative_gap(eigenvalues_desc: np.ndarray) -> float:
 
 
 def compute_frame(system: AtomicSystem, group: str = E3) -> Frame:
-    """Build the PCA frame of a system for group E3, SE3, or Z_AXIS_2D."""
+    """Build the PCA frame of a system for group E3, SE3, or Z_AXIS_2D.
+
+    One sign-fixed eigenvector basis is validated as a rigid motion; every
+    element is that basis with some columns negated, which is exact, so the
+    one check covers them all. SE3 and Z_AXIS_2D keep the sign choices that
+    give det +1.
+    """
     group = normalize_group(group)
     if group not in FRAME_GROUPS:
         raise ValueError(f"frames are defined for {FRAME_GROUPS}, not {group!r}")
@@ -101,77 +123,51 @@ def compute_frame(system: AtomicSystem, group: str = E3) -> Frame:
     positions = system.positions
     centroid = positions.mean(axis=0)
     centered = positions - centroid
-
-    if group == Z_AXIS_2D:
-        cov = centered[:, :2].T @ centered[:, :2]
-        values, vectors = np.linalg.eigh(cov)
-        values = values[::-1]
-        vectors = vectors[:, ::-1]
-        eigenvalues = np.array([values[0], values[1], 0.0])
-        degenerate = _relative_gap(values) < DEGENERACY_RTOL
-        if degenerate:
-            return Frame((EuclideanTransform(np.eye(3), centroid),), eigenvalues, group, True)
-        axis1 = np.append(_canonical_sign(vectors[:, 0]), 0.0)
-        axis2 = np.append(_canonical_sign(vectors[:, 1]), 0.0)
-        axis3 = np.array([0.0, 0.0, 1.0])
-        elements = []
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                rotation = np.column_stack((s1 * axis1, s2 * axis2, axis3))
-                if np.linalg.det(rotation) > 0:
-                    elements.append(EuclideanTransform(rotation, centroid))
-        return Frame(tuple(elements), eigenvalues, group, False)
-
-    cov = centered.T @ centered
-    values, vectors = np.linalg.eigh(cov)
+    planar = group == Z_AXIS_2D
+    if planar:
+        centered = centered[:, :2]
+    values, vectors = np.linalg.eigh(centered.T @ centered)
     values = values[::-1]
     vectors = vectors[:, ::-1]
-    degenerate = _relative_gap(values) < DEGENERACY_RTOL
-    if degenerate:
-        return Frame((EuclideanTransform(np.eye(3), centroid),), values.copy(), group, True)
+    eigenvalues = np.append(values, 0.0) if planar else values.copy()
+    if _relative_gap(values) < DEGENERACY_RTOL:
+        return Frame(np.eye(3)[None], centroid, eigenvalues, group, True)
 
-    axes = [_canonical_sign(vectors[:, k]) for k in range(3)]
-    elements = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            for s3 in (1.0, -1.0):
-                rotation = np.column_stack((s1 * axes[0], s2 * axes[1], s3 * axes[2]))
-                if group == SE3 and np.linalg.det(rotation) < 0:
-                    continue
-                elements.append(EuclideanTransform(rotation, centroid))
-    return Frame(tuple(elements), values.copy(), group, False)
+    axes = [_canonical_sign(vectors[:, k]) for k in range(vectors.shape[1])]
+    if planar:
+        axes = [np.append(axis, 0.0) for axis in axes] + [np.array([0.0, 0.0, 1.0])]
+    base = EuclideanTransform(np.column_stack(axes), centroid)
+    signs = _SIGNS_2D if planar else _SIGNS_3D
+    if group != E3:
+        # det(base * s) = det(base) * prod(s)
+        signs = signs[signs.prod(axis=1) * base.det > 0]
+    return Frame(base.rotation * signs[:, None, :], centroid, eigenvalues, group, False)
+
+
+def _turned(system: AtomicSystem, origin: np.ndarray, rotation: np.ndarray) -> AtomicSystem:
+    """Positions ``(X - origin) @ rotation``; cell rows ``cell @ rotation``."""
+    cell = None if system.cell is None else system.cell @ rotation
+    return AtomicSystem((system.positions - origin) @ rotation, system.atomic_numbers, cell,
+                        system.pbc)
 
 
 def canonicalize(system: AtomicSystem, element: EuclideanTransform) -> CanonicalView:
     """Project a system into the axes of one frame element."""
-    rotation = element.rotation
-    translation = element.translation
-    positions = (system.positions - translation) @ rotation
-    cell = None
-    if system.cell is not None:
-        cell = (system.cell - translation) @ rotation
-    projected = AtomicSystem(
-        positions=positions,
-        atomic_numbers=system.atomic_numbers,
-        cell=cell,
-        pbc=system.pbc,
-    )
-    return CanonicalView(system=projected, transform=element)
+    return CanonicalView(_turned(system, element.translation, element.rotation), element)
 
 
 @dataclass(frozen=True)
 class ViewPlan:
     """The views a backbone evaluates for a batch of systems.
 
-    View ``i`` belongs to input system ``sample[i]`` and enters that
-    system's average with ``weight[i]``; the weights of each system sum to
-    one. Right-multiplying the view's per-atom vectors by ``back[i]``
-    returns them to the input pose, and ``None`` stands for the identity.
+    View ``i`` is input system ``sample[i]`` with every vector
+    right-multiplied by ``rotation[i]`` (a ``(V, 3, 3)`` stack), so
+    ``rotation[i].T`` maps it back to the input pose. It enters its system's
+    average with ``weight[i]``; the weights of each system sum to one.
     """
 
-    views: tuple[AtomicSystem, ...]
-    back: tuple[np.ndarray | None, ...]
     sample: np.ndarray
+    rotation: np.ndarray
     weight: np.ndarray
     num_systems: int
 
@@ -190,27 +186,22 @@ def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = 
         raise ValueError(f"fa_mode must be one of {FA_MODES}, got {fa_mode!r}")
     if fa_mode in ("stochastic", "data_augment") and rng is None:
         raise ValueError(f"{fa_mode} mode needs an rng")
-    views, back, sample, weight = [], [], [], []
+    sample, rotation, weight = [], [], []
     for index, system in enumerate(systems):
         if fa_mode == "none":
-            chosen = [(system, None)]
+            chosen = np.eye(3)[None]
         elif fa_mode == "data_augment":
-            transform = random_transform(group, rng)
-            # The augmented view's vectors return to the input pose through
-            # the inverse rotation U^T, i.e. right-multiplied by U.
-            chosen = [(apply_transform(system, transform), transform.rotation)]
+            # A motion X @ U.T + t turns vectors by U.T; its translation
+            # does not reach vectors.
+            chosen = random_transform(group, rng).rotation.T[None]
         else:
-            elements = compute_frame(system, group).elements
+            chosen = compute_frame(system, group).rotations
             if fa_mode == "stochastic":
-                elements = [elements[int(rng.integers(len(elements)))]]
-            # uncanonicalization right-multiplies by U^T
-            chosen = [(canonicalize(system, el).system, el.rotation.T) for el in elements]
-        for view, rotation in chosen:
-            views.append(view)
-            back.append(rotation)
-            sample.append(index)
-            weight.append(1.0 / len(chosen))
-    return ViewPlan(tuple(views), tuple(back), np.array(sample, dtype=np.int64),
+                chosen = chosen[[int(rng.integers(len(chosen)))]]
+        sample.extend([index] * len(chosen))
+        rotation.extend(chosen)
+        weight.extend([1.0 / len(chosen)] * len(chosen))
+    return ViewPlan(np.array(sample, dtype=np.int64), np.array(rotation).reshape(-1, 3, 3),
                     np.array(weight), len(systems))
 
 
@@ -249,20 +240,17 @@ def _map_output(output, back: np.ndarray, kind: str):
     return _map_back(output, back, kind)
 
 
-def _average(model, plan: ViewPlan, kind: str):
-    """Evaluate ``model`` on every view of a one-system plan and average."""
-    outputs = [_map_output(model(view), back, kind) for view, back in zip(plan.views, plan.back)]
-    first = outputs[0]
-    if isinstance(first, tuple):
-        energies = [o[0] for o in outputs]
-        forces = [o[1] for o in outputs]
-        mean_forces = None
-        if forces[0] is not None:
-            mean_forces = np.mean(np.stack(forces), axis=0)
-        return (float(np.mean(energies)), mean_forces)
-    if np.ndim(first) == 0:
+def _average(model, system: AtomicSystem, plan: ViewPlan, kind: str):
+    """Evaluate ``model`` on every canonical view of a one-system plan and average."""
+    centroid = system.positions.mean(axis=0)
+    outputs = [_map_output(model(_turned(system, centroid, rotation)), rotation.T, kind)
+               for rotation in plan.rotation]
+    if isinstance(outputs[0], tuple):
+        energies, forces = zip(*outputs)
+        return (float(np.mean(energies)), None if forces[0] is None else np.mean(forces, axis=0))
+    if np.ndim(outputs[0]) == 0:
         return float(np.mean(outputs))
-    return np.mean(np.stack(outputs), axis=0)
+    return np.mean(outputs, axis=0)
 
 
 def full_fa_predict(model, system: AtomicSystem, group: str = E3, kind: str = "invariant"):
@@ -273,7 +261,7 @@ def full_fa_predict(model, system: AtomicSystem, group: str = E3, kind: str = "i
     representation named by ``kind``; pairs always treat the energy as
     invariant and the forces as equivariant.
     """
-    return _average(model, plan_views([system], "full", group), kind)
+    return _average(model, system, plan_views([system], "full", group), kind)
 
 
 def stochastic_fa_predict(
@@ -286,7 +274,7 @@ def stochastic_fa_predict(
     """Evaluate ``model`` on one uniformly sampled canonical view."""
     if rng is None:
         rng = np.random.default_rng()
-    return _average(model, plan_views([system], "stochastic", group, rng), kind)
+    return _average(model, system, plan_views([system], "stochastic", group, rng), kind)
 
 
 def frame_to_text(frame: Frame) -> str:
@@ -301,8 +289,8 @@ def frame_to_text(frame: Frame) -> str:
     out.write(f"degenerate {'T' if frame.degenerate else 'F'}\n")
     out.write("translation " + " ".join(f"{v:.17g}" for v in frame.translation) + "\n")
     out.write("eigenvalues " + " ".join(f"{v:.17g}" for v in frame.eigenvalues) + "\n")
-    for element in frame.elements:
-        out.write("element " + " ".join(f"{v:.17g}" for v in element.rotation.ravel()) + "\n")
+    for rotation in frame.rotations:
+        out.write("element " + " ".join(f"{v:.17g}" for v in rotation.ravel()) + "\n")
     return out.getvalue()
 
 
@@ -315,9 +303,8 @@ def frame_from_text(text: str) -> Frame:
     degenerate = lines[1].split()[1].upper() == "T"
     translation = np.array([float(v) for v in lines[2].split()[1:]])
     eigenvalues = np.array([float(v) for v in lines[3].split()[1:]])
-    elements = []
-    for line in lines[4:]:
-        values = [float(v) for v in line.split()[1:]]
-        rotation = np.array(values).reshape(3, 3)
-        elements.append(EuclideanTransform(rotation, translation))
-    return Frame(tuple(elements), eigenvalues, group, degenerate)
+    rotations = np.array([np.array([float(v) for v in line.split()[1:]]).reshape(3, 3)
+                          for line in lines[4:]])
+    for rotation in rotations:
+        EuclideanTransform(rotation, translation)  # rejects a non-orthogonal matrix
+    return Frame(rotations, translation, eigenvalues, group, degenerate)

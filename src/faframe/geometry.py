@@ -4,8 +4,9 @@ Conventions used throughout the package:
 
 - positions are (n, 3) float64 arrays in angstrom, one row per atom
 - the rows of a cell matrix are the lattice vectors
-- a transform g = (U, t) acts on row-vector positions as ``X @ U.T + t``,
-  and the rows of a cell are transformed exactly like positions
+- a transform g = (U, t) acts on row-vector positions as ``X @ U.T + t``;
+  cell rows are lattice vectors, so g rotates them, ``cell @ U.T``, and
+  never translates them
 - periodic image offsets are integer triples with entries in {-1, 0, 1}
 """
 
@@ -171,20 +172,13 @@ class EuclideanTransform:
 def apply_transform(system: AtomicSystem, transform: EuclideanTransform) -> AtomicSystem:
     """Apply a rigid motion to a system.
 
-    Cell rows are transformed identically to positions, translation included;
-    the centering step of canonicalization is what keeps that convention
-    self-consistent downstream.
+    Positions move as points, ``X @ U.T + t``. Cell rows are lattice
+    vectors, differences of positions, so they rotate, ``cell @ U.T``, and
+    never translate: the moved crystal is the same crystal.
     """
-    new_positions = transform.apply_points(system.positions)
-    new_cell = None
-    if system.cell is not None:
-        new_cell = transform.apply_points(system.cell)
-    return AtomicSystem(
-        positions=new_positions,
-        atomic_numbers=system.atomic_numbers,
-        cell=new_cell,
-        pbc=system.pbc,
-    )
+    cell = None if system.cell is None else system.cell @ transform.rotation.T
+    return AtomicSystem(transform.apply_points(system.positions), system.atomic_numbers, cell,
+                        system.pbc)
 
 
 def _haar_orthogonal(rng: np.random.Generator) -> np.ndarray:

@@ -50,11 +50,10 @@ def _aperiodic(rng, n, scale=2.5):
 
 
 def _periodic(rng, n):
-    # centered positions keep every canonical view's cell a pure rotation of
-    # the input cell, so graph construction sees unchanged image ranges
+    # uncentred fractional positions: the centroid sits near the middle of
+    # the cell, far from the origin
     cell = np.diag(rng.uniform(12.0, 16.0, 3)) + rng.uniform(-0.5, 0.5, (3, 3))
     positions = rng.uniform(0.0, 1.0, (n, 3)) @ cell
-    positions = positions - positions.mean(axis=0)
     return AtomicSystem(
         positions, rng.integers(1, 30, size=n), cell=cell, pbc=(True, True, True)
     )

@@ -298,6 +298,7 @@ def test_gradcheck_passes_and_reports_ops(tmp_path, capsys):
     assert payload["max_rel_err"] < payload["tolerance"]
     assert "segment_sum" in payload["ops"]
     assert "slice_rows" in payload["ops"]
+    assert "rotate_rows" in payload["ops"]
 
 
 def test_gradcheck_detects_wrong_gradients(monkeypatch, capsys):

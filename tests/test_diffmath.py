@@ -364,6 +364,74 @@ def test_adamw_weight_decay_shrinks_without_grad():
     assert p.data[0] == pytest.approx(4.0 - 0.1 * 0.5 * 4.0)
 
 
+def _adamw_reference_step(params, ms, vs, t, lr, b1, b2, eps, wd):
+    """The AdamW update written with full-size temporaries."""
+    for p, m, v in zip(params, ms, vs):
+        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p.data)
+
+
+def test_adamw_in_place_step_is_bitwise_the_temporary_formula():
+    rng = np.random.default_rng(30)
+    hyper = dict(lr=3e-2, b1=0.8, b2=0.95, eps=1e-6, wd=0.1)
+    shapes = [(4, 3), (7,), (), (2, 5)]
+    params = [dm.DiffValue(rng.standard_normal(shape)) for shape in shapes]
+    reference = [dm.DiffValue(p.data.copy()) for p in params]
+    ms = [np.zeros_like(p.data) for p in reference]
+    vs = [np.zeros_like(p.data) for p in reference]
+    opt = dm.AdamW(params, learning_rate=hyper["lr"], betas=(hyper["b1"], hyper["b2"]),
+                   epsilon=hyper["eps"], weight_decay=hyper["wd"])
+    for t in range(1, 8):
+        for k, (p, r) in enumerate(zip(params, reference)):
+            p.zero_grad()
+            r.zero_grad()
+            if (t + k) % 3:  # every parameter also takes steps without a gradient
+                grad = rng.standard_normal(p.data.shape)
+                p.accumulate_grad(grad)
+                r.accumulate_grad(grad)
+        opt.step()
+        _adamw_reference_step(reference, ms, vs, t, **hyper)
+        for p, r, m, v, m_ref, v_ref in zip(params, reference, opt._m, opt._v, ms, vs):
+            assert p.data.tobytes() == r.data.tobytes()
+            assert m.tobytes() == m_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+
+
+# ------------------------------------------------------------- rotate_rows
+
+
+def test_rotate_rows_matches_a_loop_forward_and_backward():
+    rng = np.random.default_rng(31)
+    rows, matrices = rng.standard_normal((6, 3)), rng.standard_normal((6, 3, 3))
+    weights = rng.standard_normal((6, 3))
+    x = dm.DiffValue(rows.copy())
+    out = dm.rotate_rows(x, matrices)
+    np.testing.assert_allclose(out.data, [r @ m for r, m in zip(rows, matrices)],
+                               rtol=1e-14, atol=1e-14)
+    dm.backward(dm.sum_all(dm.mul(out, weights)))
+    np.testing.assert_allclose(x.grad, [m @ w for m, w in zip(matrices, weights)],
+                               rtol=1e-14, atol=1e-14)
+
+    def loss(arrays):
+        return float(np.sum(np.einsum("ni,nij->nj", arrays[0], matrices) * weights))
+
+    numeric, = dm.numerical_gradient(loss, [rows.copy()])
+    np.testing.assert_allclose(x.grad, numeric, rtol=1e-8, atol=1e-9)
+
+
+def test_rotate_rows_rejects_mismatched_matrices():
+    with pytest.raises(ShapeMismatch, match="rotate_rows"):
+        dm.rotate_rows(np.zeros((4, 3)), np.zeros((3, 3, 3)))
+    with pytest.raises(ShapeMismatch, match="rotate_rows"):
+        dm.rotate_rows(np.zeros((4, 3)), np.zeros((4, 3)))
+
+
 # -------------------------------------------------------------- persistence
 
 

@@ -6,7 +6,7 @@ import pytest
 from faframe import diffmath as dm
 from faframe import faenet
 from faframe.errors import NoForcesRequested, NonFiniteLoss, UnknownElement
-from faframe.frames import canonicalize, compute_frame
+from faframe.frames import canonicalize, compute_frame, plan_views
 from faframe.geometry import (
     E3,
     AtomicSystem,
@@ -77,7 +77,7 @@ def test_embed_shapes():
     model = FAENetModel(TINY, rng)
     system = random_system(rng, n=5)
     graph = build_radius_graph(system, TINY.cutoff, TINY.max_neighbors)
-    batch = _make_batch([system], TINY)
+    batch = _make_batch([system], plan_views([system], "none"), TINY)
     h, e = _embed_arrays(model, batch)
     assert h.shape == (5, TINY.hidden_channels)
     assert e.shape == (graph.src.size, TINY.num_filters)
@@ -92,7 +92,7 @@ def test_standard_filter_matches_concatenated_edge_inputs():
     model = FAENetModel(TINY, rng)
     p = {name: v.data for name, v in model.params.items()}
     system = random_system(rng, n=7)
-    batch = _make_batch([system], TINY)
+    batch = _make_batch([system], plan_views([system], "none"), TINY)
     h, e = _embed_arrays(model, batch)
     src, dst = batch.src, batch.dst
     out = _interaction_arrays(model, 0, h, e, src, dst, batch.num_atoms)
@@ -126,6 +126,83 @@ def test_forward_keeps_no_tape(monkeypatch):
     systems = [random_system(rng, n=4)]
     taped, _ = training_forward(model, systems, "full", E3, None, False)
     assert taped._parents and taped._backward is not None
+
+
+def test_full_forward_builds_one_graph_for_eight_views(monkeypatch):
+    rng = np.random.default_rng(14)
+    model = FAENetModel(TINY, rng)
+    system = random_system(rng, n=6)
+    assert len(plan_views([system], "full").rotation) == 8
+    built = []
+    real = faenet.build_radius_graph
+
+    def counting(graph_system, *args, **kwargs):
+        built.append(graph_system)
+        return real(graph_system, *args, **kwargs)
+
+    monkeypatch.setattr(faenet, "build_radius_graph", counting)
+    forward(model, system, fa_mode="full")
+    assert len(built) == 1 and built[0] is system
+
+
+def test_forward_and_training_forward_share_one_reduction(monkeypatch):
+    rng = np.random.default_rng(15)
+    model = FAENetModel(GRADCHECK_CONFIG, rng)
+    system = random_system(rng, n=5)
+    calls = []
+    real = faenet._average_views
+
+    def recording(*args, **kwargs):
+        calls.append(args[1].num_systems)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(faenet, "_average_views", recording)
+    prediction = forward(model, system, fa_mode="full")
+    energy, forces = training_forward(model, [system, system], "full", E3, None, True)
+    assert calls == [1, 2]
+    np.testing.assert_allclose(energy.data[:, 0], prediction.energy, rtol=1e-12)
+    np.testing.assert_allclose(forces.data, np.concatenate([prediction.forces] * 2),
+                               rtol=0, atol=1e-12)
+
+
+def _uncentred_crystal(rng, n, cell):
+    # Fractional positions in [0, 1): the centroid sits near the cell's
+    # centre, far from the origin.
+    return AtomicSystem(rng.uniform(0.0, 1.0, (n, 3)) @ cell, rng.integers(1, 20, size=n),
+                        cell=cell, pbc=(True, True, True))
+
+
+def test_forward_ignores_translating_atoms_in_a_fixed_cell():
+    rng = np.random.default_rng(16)
+    config = FAENetConfig(
+        hidden_channels=16, num_filters=16, num_gaussians=8, num_interactions=2,
+        cutoff=5.0, max_neighbors=12, predict_forces=True, force_head_hidden=16,
+    )
+    model = FAENetModel(config, rng)
+    cell = np.diag([11.0, 12.0, 13.0]) + rng.uniform(-0.5, 0.5, (3, 3))
+    system = _uncentred_crystal(rng, 12, cell)
+    base = forward(model, system, fa_mode="full")
+    for shift in ([2.0, -3.0, 1.0], [-0.5, 4.0, 7.5]):
+        moved = AtomicSystem(system.positions + shift, system.atomic_numbers,
+                             cell=cell, pbc=system.pbc)
+        prediction = forward(model, moved, fa_mode="full")
+        assert abs(prediction.energy - base.energy) <= 1e-9 * abs(base.energy)
+        np.testing.assert_allclose(prediction.forces, base.forces, rtol=0,
+                                   atol=1e-9 * (1.0 + np.abs(base.forces).max()))
+
+
+def test_forward_on_uncentred_crystal_at_default_cutoff():
+    # A 12.5 A cube is wider than twice the default 6 A cutoff, so only the
+    # +/-1 images can be in reach, in every view.
+    rng = np.random.default_rng(17)
+    config = FAENetConfig(hidden_channels=8, num_filters=8, num_gaussians=8,
+                          num_interactions=1, predict_forces=True, force_head_hidden=8)
+    assert config.cutoff == FAENetConfig().cutoff == 6.0
+    model = FAENetModel(config, rng)
+    system = _uncentred_crystal(rng, 40, np.eye(3) * 12.5)
+    prediction = forward(model, system, fa_mode="full")
+    assert np.isfinite(prediction.energy)
+    assert prediction.forces.shape == (40, 3)
 
 
 def test_isolated_atom_matches_closed_form():

@@ -8,6 +8,7 @@ from faframe.geometry import (
     SE3,
     Z_AXIS_2D,
     AtomicSystem,
+    EuclideanTransform,
     apply_transform,
     random_transform,
 )
@@ -209,21 +210,86 @@ def test_canonical_view_centered_and_diagonal_covariance():
         assert np.abs(off).max() / frame.eigenvalues[0] < 1e-7
 
 
-def test_canonicalize_projects_cell():
+def test_canonicalize_rotates_cell_rows_and_never_translates_them():
+    # Uncentred fractional positions: the centroid is far from the origin,
+    # so a translated cell would show.
     rng = np.random.default_rng(10)
-    cell = np.diag([10.0, 11.0, 12.0])
+    cell = np.diag([10.0, 11.0, 12.0]) + rng.uniform(-0.5, 0.5, (3, 3))
     system = AtomicSystem(
-        rng.uniform(0, 10, (5, 3)), np.full(5, 6), cell=cell, pbc=(True, True, True),
+        rng.uniform(0, 1, (5, 3)) @ cell, np.full(5, 6), cell=cell, pbc=(True, True, True),
     )
     frame = compute_frame(system, E3)
-    el = frame.elements[0]
-    view = canonicalize(system, el).system
-    np.testing.assert_allclose(
-        view.cell, (cell - frame.translation) @ el.rotation, atol=1e-10,
-    )
+    assert np.abs(frame.translation).min() > 1.0
+    for el in frame.elements:
+        view = canonicalize(system, el).system
+        np.testing.assert_array_equal(view.cell, cell @ el.rotation)
+        np.testing.assert_allclose(abs(np.linalg.det(view.cell)), abs(np.linalg.det(cell)),
+                                   rtol=1e-12)
+    # translating the atoms leaves the crystal, and so its canonical cells, alone
+    moved = AtomicSystem(system.positions + [3.0, -7.0, 1.5], system.atomic_numbers,
+                         cell=cell, pbc=system.pbc)
+    for a, b in zip(compute_frame(system, E3).elements, compute_frame(moved, E3).elements):
+        np.testing.assert_allclose(canonicalize(moved, b).system.cell,
+                                   canonicalize(system, a).system.cell, atol=1e-9)
 
 
 # ---------------------------------------------------------------- degeneracy
+
+
+def _nested_loop_rotations(system, group):
+    """Element rotations built as a nested loop over column signs (s1 slowest)."""
+    centered = system.positions - system.positions.mean(axis=0)
+    planar = group == Z_AXIS_2D
+    if planar:
+        centered = centered[:, :2]
+    vectors = np.linalg.eigh(centered.T @ centered)[1][:, ::-1]
+    axes = []
+    for k in range(vectors.shape[1]):
+        axis = vectors[:, k]
+        axes.append(-axis if axis[int(np.argmax(np.abs(axis)))] < 0 else axis)
+    if planar:
+        axes = [np.append(axes[0], 0.0), np.append(axes[1], 0.0), np.array([0.0, 0.0, 1.0])]
+    rotations = []
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            for s3 in ((1.0,) if planar else (1.0, -1.0)):
+                rotation = np.column_stack((s1 * axes[0], s2 * axes[1], s3 * axes[2]))
+                if group == E3 or np.linalg.det(rotation) > 0:
+                    rotations.append(rotation)
+    return rotations
+
+
+@pytest.mark.parametrize("group", [E3, SE3, Z_AXIS_2D])
+def test_element_order_matches_nested_sign_loop(group):
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        system = random_system(rng)
+        frame = compute_frame(system, group)
+        expected = _nested_loop_rotations(system, group)
+        assert frame.rotations.shape == (len(expected), 3, 3)
+        for rotation, element, want in zip(frame.rotations, frame.elements, expected):
+            np.testing.assert_array_equal(rotation, want)
+            np.testing.assert_array_equal(element.rotation, want)
+            np.testing.assert_array_equal(element.translation, frame.translation)
+
+
+def test_compute_frame_validates_one_transform(monkeypatch):
+    built = []
+    real_init = EuclideanTransform.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real_init(self)
+
+    monkeypatch.setattr(EuclideanTransform, "__post_init__", counting)
+    rng = np.random.default_rng(26)
+    for group in (E3, SE3, Z_AXIS_2D):
+        built.clear()
+        compute_frame(random_system(rng), group)
+        assert len(built) == 1
+    built.clear()
+    compute_frame(AtomicSystem(np.array([[1.0, 2.0, 3.0]]), np.array([6])), E3)
+    assert not built
 
 
 def test_single_atom_degenerate_identity():
@@ -268,8 +334,11 @@ def test_plan_full_takes_every_frame_element(group, count):
     systems = [random_system(rng) for _ in range(3)]
     plan = plan_views(systems, "full", group)
     assert plan.num_systems == 3
-    assert len(plan.views) == len(plan.back) == 3 * count
+    assert plan.rotation.shape == (3 * count, 3, 3)
     np.testing.assert_array_equal(plan.sample, np.repeat(np.arange(3), count))
+    for index, system in enumerate(systems):
+        np.testing.assert_array_equal(plan.rotation[plan.sample == index],
+                                      compute_frame(system, group).rotations)
 
 
 @pytest.mark.parametrize("fa_mode", ["stochastic", "none", "data_augment"])
@@ -277,7 +346,7 @@ def test_plan_single_view_modes(fa_mode):
     rng = np.random.default_rng(21)
     systems = [random_system(rng) for _ in range(3)]
     plan = plan_views(systems, fa_mode, E3, rng)
-    assert len(plan.views) == 3
+    assert plan.rotation.shape == (3, 3, 3)
     np.testing.assert_array_equal(plan.sample, np.arange(3))
 
 
@@ -303,30 +372,60 @@ def test_plan_stochastic_draws_once_per_system_in_order():
     joint = plan_views([a, b], "stochastic", E3, np.random.default_rng(5))
     shared = np.random.default_rng(5)
     alone = [plan_views([s], "stochastic", E3, shared) for s in (a, b)]
-    for view, back, single in zip(joint.views, joint.back, alone):
-        np.testing.assert_array_equal(view.positions, single.views[0].positions)
-        np.testing.assert_array_equal(back, single.back[0])
+    for rotation, single in zip(joint.rotation, alone):
+        np.testing.assert_array_equal(rotation, single.rotation[0])
 
 
 def test_plan_none_maps_back_with_identity():
     system = random_system(np.random.default_rng(24))
     plan = plan_views([system], "none", E3)
-    assert plan.views == (system,)
-    assert plan.back == (None,)
+    np.testing.assert_array_equal(plan.rotation, np.eye(3)[None])
+    np.testing.assert_array_equal(plan.weight, [1.0])
+
+
+def _views_as_systems(system, fa_mode, seed):
+    """Each planned view as a moved system, drawn from an rng seeded as the plan's."""
+    rng = np.random.default_rng(seed)
+    if fa_mode == "none":
+        return [system]
+    if fa_mode == "data_augment":
+        return [apply_transform(system, random_transform(E3, rng))]
+    elements = compute_frame(system, E3).elements
+    if fa_mode == "stochastic":
+        elements = [elements[int(rng.integers(len(elements)))]]
+    return [canonicalize(system, el).system for el in elements]
 
 
 @pytest.mark.parametrize("fa_mode", FA_MODES)
 def test_plan_back_returns_view_vectors_to_input_pose(fa_mode):
     # Offsets from the centroid are an equivariant per-atom vector field:
-    # each view's field, mapped back, must equal the input's.
-    rng = np.random.default_rng(25)
-    system = random_system(rng, n=6)
+    # each view's field is the input's turned by rotation[i], and
+    # rotation[i].T maps it back.
+    system = random_system(np.random.default_rng(25), n=6)
     expected = system.positions - system.positions.mean(axis=0)
-    plan = plan_views([system], fa_mode, E3, rng)
-    for view, back in zip(plan.views, plan.back):
+    plan = plan_views([system], fa_mode, E3, np.random.default_rng(3))
+    views = _views_as_systems(system, fa_mode, 3)
+    assert len(views) == len(plan.rotation)
+    for view, rotation in zip(views, plan.rotation):
         field = view.positions - view.positions.mean(axis=0)
-        mapped = field if back is None else field @ back
-        np.testing.assert_allclose(mapped, expected, atol=1e-12)
+        np.testing.assert_allclose(field, expected @ rotation, atol=1e-12)
+        np.testing.assert_allclose(field @ rotation.T, expected, atol=1e-12)
+
+
+def test_plan_builds_no_systems(monkeypatch):
+    rng = np.random.default_rng(27)
+    systems = [random_system(rng) for _ in range(3)]
+    built = []
+    real_init = AtomicSystem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real_init(self)
+
+    monkeypatch.setattr(AtomicSystem, "__post_init__", counting)
+    for fa_mode in FA_MODES:
+        plan_views(systems, fa_mode, E3, rng)
+    assert not built
 
 
 def test_plan_rejects_unknown_mode_and_missing_rng():

@@ -70,13 +70,28 @@ def test_identity_transform_is_noop():
     assert out.pbc == system.pbc
 
 
-def test_pure_translation_shifts_positions_and_cell():
+def test_pure_translation_moves_positions_and_keeps_cell():
     rng = np.random.default_rng(1)
     system = random_system(rng, periodic=True)
     shift = np.array([1.5, -2.0, 0.25])
     out = apply_transform(system, EuclideanTransform(np.eye(3), shift))
     np.testing.assert_allclose(out.positions, system.positions + shift, atol=1e-12)
-    np.testing.assert_allclose(out.cell, system.cell + shift, atol=1e-12)
+    np.testing.assert_array_equal(out.cell, system.cell)
+
+
+def test_rigid_motion_rotates_cell_rows_and_never_translates_them():
+    rng = np.random.default_rng(5)
+    system = random_system(rng, periodic=True)
+    for group in (E3, SE3, Z_AXIS_2D):
+        for _ in range(5):
+            g = random_transform(group, rng)
+            out = apply_transform(system, g)
+            np.testing.assert_array_equal(out.cell, system.cell @ g.rotation.T)
+            # the same crystal: every edge is the old one turned by U
+            a = build_radius_graph(system, cutoff=4.0, max_neighbors=10)
+            b = build_radius_graph(out, cutoff=4.0, max_neighbors=10)
+            assert a.edges == b.edges
+            np.testing.assert_allclose(b.rel_vectors, a.rel_vectors @ g.rotation.T, atol=1e-9)
 
 
 def test_compose_matches_sequential_application():
@@ -287,8 +302,8 @@ def test_graph_invariant_under_isometry_aperiodic():
 
 
 def test_graph_invariant_under_rotation_periodic():
-    # rotations and reflections only: a translated cell changes which
-    # periodic images fall inside the cutoff, so full E(3) is not compared
+    # rotations and reflections only; motions with a translation are
+    # compared in test_rigid_motion_rotates_cell_rows_and_never_translates_them
     rng = np.random.default_rng(12)
     for _ in range(20):
         system = random_system(rng, periodic=True)
