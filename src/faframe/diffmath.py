@@ -18,6 +18,7 @@ import contextlib
 import contextvars
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +70,11 @@ def no_grad():
         yield
     finally:
         _recording.reset(token)
+
+
+def recording() -> bool:
+    """Whether ops record the tape here, i.e. not inside :func:`no_grad`."""
+    return _recording.get()
 
 
 def _node(data, parents, backward) -> DiffValue:
@@ -159,50 +165,89 @@ def slice_rows(x, start: int, stop: int) -> DiffValue:
     return _node(x.data[start:stop], (x,), backward)
 
 
-def _scatter_rows(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
-    """``out[i]`` is the sum of the rows ``values[ids == i]``; absent ids give 0.
+class Segments(NamedTuple):
+    """A row index sorted once for any number of scatters.
 
-    Rows are summed with ``np.add.reduceat`` over runs of equal ids, one run
-    per id present, so no run is empty. Unsorted ids are first put in order
-    by a stable sort, which keeps each id's rows in their input order.
+    ``order`` is the stable sort order of ``ids`` (``None`` when they are
+    sorted), ``starts`` the sorted positions where a run of equal ids
+    begins, and ``heads`` the id of each run.
     """
-    out = np.zeros((n,) + values.shape[1:])
-    if ids.size == 0:
-        return out
+
+    ids: np.ndarray
+    order: np.ndarray | None
+    starts: np.ndarray
+    heads: np.ndarray
+
+    def window(self, start: int, stop: int, base: int) -> "Segments":
+        """The index of rows ``start:stop``, with ``base`` taken off every id.
+
+        Valid when those rows hold a block of ids above every earlier row's
+        and below every later row's, as one graph of a disjoint batch does;
+        every piece is then a slice.
+        """
+        first, last = np.searchsorted(self.starts, (start, stop))
+        order = None if self.order is None else self.order[start:stop] - start
+        return Segments(self.ids[start:stop] - base, order,
+                        self.starts[first:last] - start, self.heads[first:last] - base)
+
+
+def segments(ids) -> Segments:
+    """Sort ``ids`` once, stably, so each id keeps its rows in input order."""
+    if isinstance(ids, Segments):
+        return ids
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ShapeMismatch(f"a row index must be 1-D, got shape {ids.shape}")
+    order, ordered = None, ids
     if (ids[1:] < ids[:-1]).any():
         order = np.argsort(ids, kind="stable")
-        ids, values = ids[order], values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    out[ids[starts]] = np.add.reduceat(values, starts, axis=0)
+        ordered = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    starts = starts[:ids.size]
+    return Segments(ids, order, starts, ordered[starts])
+
+
+def _scatter_rows(values: np.ndarray, index: Segments, n: int) -> np.ndarray:
+    """``out[i]`` is the sum of the rows ``values[index.ids == i]``; absent ids give 0.
+
+    ``np.add.reduceat`` sums each run of equal ids in stable order, one run
+    per id present, so no run is empty.
+    """
+    out = np.zeros((n,) + values.shape[1:])
+    if index.ids.size == 0:
+        return out
+    if index.order is not None:
+        values = values[index.order]
+    out[index.heads] = np.add.reduceat(values, index.starts, axis=0)
     return out
 
 
 def gather_rows(x, index) -> DiffValue:
+    """Rows ``x[index]``; ``index`` is an id array or a prepared :class:`Segments`."""
     x = _as_value(x)
-    index = np.asarray(index, dtype=np.int64)
-    if index.ndim != 1:
-        raise ShapeMismatch(f"gather_rows index must be 1-D, got shape {index.shape}")
+    index = segments(index)
 
     def backward(grad):
         x.accumulate_grad(_scatter_rows(grad, index, x.data.shape[0]))
 
-    return _node(x.data[index], (x,), backward)
+    return _node(x.data[index.ids], (x,), backward)
 
 
 def segment_sum(values, segment_ids, num_segments: int) -> DiffValue:
+    """Per-segment row sums; ``segment_ids`` is an id array or a :class:`Segments`."""
     values = _as_value(values)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.ndim != 1 or segment_ids.shape[0] != values.data.shape[0]:
+    index = segments(segment_ids)
+    if index.ids.shape[0] != values.data.shape[0]:
         raise ShapeMismatch(
-            f"segment_ids shape {segment_ids.shape} does not index {values.data.shape} rows"
+            f"segment_ids shape {index.ids.shape} does not index {values.data.shape} rows"
         )
-    if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
+    if index.heads.size and (index.heads[0] < 0 or index.heads[-1] >= num_segments):
         raise ValueError("segment id out of range")
 
     def backward(grad):
-        values.accumulate_grad(grad[segment_ids])
+        values.accumulate_grad(grad[index.ids])
 
-    return _node(_scatter_rows(values.data, segment_ids, num_segments), (values,), backward)
+    return _node(_scatter_rows(values.data, index, num_segments), (values,), backward)
 
 
 def rotate_rows(x, matrices) -> DiffValue:

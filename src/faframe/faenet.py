@@ -8,6 +8,9 @@ are mapped back and averaged.
 Energies are per-system scalars; forces, when enabled, come from a direct
 per-atom head evaluated in canonical axes.
 
+Inference (no tape) runs the backbone over chunks of consecutive views within
+``VIEW_CHUNK_BYTES`` and the heads once; training runs one batch.
+
 Frames are computed outside the autodiff graph and treated as constants;
 gradients flow through the network weights only.
 """
@@ -36,6 +39,12 @@ ENERGY_HEADS = ("weighted", "simple")
 # learned embedding when a property table is configured.
 PROPERTY_CHANNELS = 32
 PROPERTY_COLUMNS = 10
+
+# Bytes of one E x num_filters float64 edge array per chunk of views at
+# inference: 2 MiB, about 550 edge rows at 480 filters, against a 4 MB L2.
+# Of budgets of 260, 520 and 1040 rows and one batch (2-vCPU VM, default
+# config), 520 rows was fastest or within noise of it at 8-40 atoms.
+VIEW_CHUNK_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -66,8 +75,8 @@ class FAENetConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        if not (np.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
         if self.mp_variant not in MP_VARIANTS:
             raise ValueError(f"mp_variant must be one of {MP_VARIANTS}, got {self.mp_variant!r}")
         if self.energy_head not in ENERGY_HEADS:
@@ -218,10 +227,12 @@ class _Batch(NamedTuple):
     z_index: np.ndarray
     prop_rows: np.ndarray | None
     edge_features: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
+    src: dm.Segments
+    dst: dm.Segments
     atom_output: np.ndarray
     atom_input: np.ndarray
+    view_atoms: np.ndarray
+    view_edges: np.ndarray
     num_outputs: int
     num_atoms: int
     num_input_atoms: int
@@ -241,6 +252,8 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
     pose; every view of it shares them and turns the edge vectors by the
     view's rotation. Row ``r`` of the batch is input atom ``atom_input[r]``
     (atoms of all systems numbered in order) seen in view ``atom_output[r]``.
+    View ``v`` holds atom rows ``view_atoms[v]:view_atoms[v + 1]``, and so
+    for edges; ``src`` and ``dst`` are indexed once for every scatter.
     """
     for system in systems:
         _validate_numbers(system.atomic_numbers)
@@ -248,6 +261,7 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
     radials = [rbf(g.distances, config.num_gaussians, config.cutoff) for g in graphs]
     firsts = np.cumsum([0] + [system.num_atoms for system in systems])
     z_parts, edge_parts, src_parts, dst_parts, out_parts, in_parts = [], [], [], [], [], []
+    view_atoms, view_edges = [0], [0]
     offset = 0
     for view, (index, rotation) in enumerate(zip(plan.sample, plan.rotation)):
         system, graph = systems[index], graphs[index]
@@ -258,6 +272,8 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
         out_parts.append(np.full(system.num_atoms, view, dtype=np.int64))
         in_parts.append(np.arange(firsts[index], firsts[index + 1]))
         offset += system.num_atoms
+        view_atoms.append(offset)
+        view_edges.append(view_edges[-1] + graph.num_edges)
     z_index = np.concatenate(z_parts)
     prop_rows = None
     if config.property_table is not None:
@@ -266,14 +282,52 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
         z_index=z_index,
         prop_rows=prop_rows,
         edge_features=np.concatenate(edge_parts),
-        src=np.concatenate(src_parts),
-        dst=np.concatenate(dst_parts),
+        src=dm.segments(np.concatenate(src_parts)),
+        dst=dm.segments(np.concatenate(dst_parts)),
         atom_output=np.concatenate(out_parts),
         atom_input=np.concatenate(in_parts),
+        view_atoms=np.array(view_atoms),
+        view_edges=np.array(view_edges),
         num_outputs=len(plan.sample),
         num_atoms=offset,
         num_input_atoms=int(firsts[-1]),
     )
+
+
+def _views(batch: _Batch, start: int, stop: int) -> _Batch:
+    """Views ``start:stop`` as a batch: no edge leaves its view, so all are slices."""
+    a0, a1 = batch.view_atoms[start], batch.view_atoms[stop]
+    e0, e1 = batch.view_edges[start], batch.view_edges[stop]
+    return _Batch(
+        z_index=batch.z_index[a0:a1],
+        prop_rows=None if batch.prop_rows is None else batch.prop_rows[a0:a1],
+        edge_features=batch.edge_features[e0:e1],
+        src=batch.src.window(e0, e1, a0),
+        dst=batch.dst.window(e0, e1, a0),
+        atom_output=batch.atom_output[a0:a1] - start,
+        atom_input=batch.atom_input[a0:a1],
+        view_atoms=batch.view_atoms[start:stop + 1] - a0,
+        view_edges=batch.view_edges[start:stop + 1] - e0,
+        num_outputs=stop - start,
+        num_atoms=int(a1 - a0),
+        num_input_atoms=batch.num_input_atoms,
+    )
+
+
+def _view_chunks(batch: _Batch, num_filters: int) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` view ranges whose edge arrays fit ``VIEW_CHUNK_BYTES``.
+
+    A view over the budget is a chunk of its own; a batch that fits is one chunk.
+    """
+    budget = max(VIEW_CHUNK_BYTES // (8 * num_filters), 1)
+    chunks, start, rows = [], 0, 0
+    for view, edges in enumerate(np.diff(batch.view_edges)):
+        if view > start and rows + edges > budget:
+            chunks.append((start, view))
+            start, rows = view, 0
+        rows += edges
+    chunks.append((start, batch.num_outputs))
+    return chunks
 
 
 def _two_layer(params, prefix, x: DiffValue) -> DiffValue:
@@ -324,18 +378,21 @@ def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffVal
     return dm.add(h, update)
 
 
-def _net(model: FAENetModel, batch: _Batch,
-         want_forces: bool) -> tuple[DiffValue, DiffValue | None]:
-    """Run the backbone on a merged graph; returns (energy (B,1), forces (N,3))."""
-    config = model.config
-    params = model.params
+def _net(model: FAENetModel, batch: _Batch) -> DiffValue:
+    """Run the backbone on a merged graph; returns the node states the heads read."""
     h, e = _embed_arrays(model, batch)
     layer_sum = None
-    for layer in range(config.num_interactions):
+    for layer in range(model.config.num_interactions):
         h = _interaction_arrays(model, layer, h, e, batch.src, batch.dst, batch.num_atoms)
         layer_sum = h if layer_sum is None else dm.add(layer_sum, h)
-    h_out = layer_sum if config.jumping_connections else h
+    return layer_sum if model.config.jumping_connections else h
 
+
+def _heads(model: FAENetModel, batch: _Batch, h_out: DiffValue,
+           want_forces: bool) -> tuple[DiffValue, DiffValue | None]:
+    """Energy per view (B, 1) and, when asked, forces per atom row (N, 3)."""
+    config = model.config
+    params = model.params
     value = _two_layer(params, "energy_head.value", h_out)
     if config.energy_head == "weighted":
         alpha = dm.sigmoid(_two_layer(params, "energy_head.alpha", h_out))
@@ -387,10 +444,21 @@ def _average_views(model: FAENetModel, plan: ViewPlan, batch: _Batch,
                    want_forces: bool) -> tuple[DiffValue, DiffValue | None]:
     """Run the net on a plan's batch and take each system's weighted view mean.
 
+    With the tape off, the backbone runs per :func:`_view_chunks` chunk;
+    views are independent, so the joined node states are one run's. The
+    heads' narrow products round a row by its place, so they run once.
     Force rows return to the input pose in one batched back-rotation: each
     row by its view's ``rotation.T``, scaled by the view's weight.
     """
-    energy_views, force_views = _net(model, batch, want_forces)
+    chunks = [(0, batch.num_outputs)]
+    if not dm.recording():
+        chunks = _view_chunks(batch, model.config.num_filters)
+    if len(chunks) == 1:
+        h_out = _net(model, batch)
+    else:
+        h_out = dm.concat([_net(model, _views(batch, start, stop)) for start, stop in chunks],
+                          axis=0)
+    energy_views, force_views = _heads(model, batch, h_out, want_forces)
     weighted = dm.mul(energy_views, dm.constant(plan.weight[:, None]))
     energy = dm.segment_sum(weighted, plan.sample, plan.num_systems)
     if force_views is None:

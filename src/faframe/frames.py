@@ -27,7 +27,6 @@ below average over the same views.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 
@@ -275,36 +274,3 @@ def stochastic_fa_predict(
     if rng is None:
         rng = np.random.default_rng()
     return _average(model, system, plan_views([system], "stochastic", group, rng), kind)
-
-
-def frame_to_text(frame: Frame) -> str:
-    """Serialize a frame to plain text.
-
-    Line 1: ``group <name>``; line 2: ``degenerate <T|F>``; line 3 the
-    centroid translation; line 4 the descending eigenvalues; then one line
-    of nine row-major rotation entries per element.
-    """
-    out = io.StringIO()
-    out.write(f"group {frame.group}\n")
-    out.write(f"degenerate {'T' if frame.degenerate else 'F'}\n")
-    out.write("translation " + " ".join(f"{v:.17g}" for v in frame.translation) + "\n")
-    out.write("eigenvalues " + " ".join(f"{v:.17g}" for v in frame.eigenvalues) + "\n")
-    for rotation in frame.rotations:
-        out.write("element " + " ".join(f"{v:.17g}" for v in rotation.ravel()) + "\n")
-    return out.getvalue()
-
-
-def frame_from_text(text: str) -> Frame:
-    """Rebuild a frame serialized by :func:`frame_to_text`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 5:
-        raise ValueError("frame text needs group, degenerate, translation, eigenvalues, elements")
-    group = normalize_group(lines[0].split()[1])
-    degenerate = lines[1].split()[1].upper() == "T"
-    translation = np.array([float(v) for v in lines[2].split()[1:]])
-    eigenvalues = np.array([float(v) for v in lines[3].split()[1:]])
-    rotations = np.array([np.array([float(v) for v in line.split()[1:]]).reshape(3, 3)
-                          for line in lines[4:]])
-    for rotation in rotations:
-        EuclideanTransform(rotation, translation)  # rejects a non-orthogonal matrix
-    return Frame(rotations, translation, eigenvalues, group, degenerate)

@@ -291,8 +291,8 @@ def build_radius_graph(
     magnitude 2) would still fall inside the cutoff, the cutoff is too large
     for that cell and CutoffExceedsImageRange is raised.
     """
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if not (np.isfinite(cutoff) and cutoff > 0):
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     if max_neighbors < 1:
         raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
 

@@ -113,6 +113,58 @@ def test_gather_rows_forward_and_backward_match_loop(case, width):
     np.testing.assert_allclose(table.grad, _loop_scatter(weights, index, n), rtol=0, atol=1e-12)
 
 
+def _sort_and_scatter(values, ids, n):
+    """The scatter with its index built on the spot: stable sort, then runs."""
+    out = np.zeros((n,) + values.shape[1:])
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        ids, values = ids[order], values[order]
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        out[ids[starts]] = np.add.reduceat(values, starts, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_segment_index_scatters_like_raw_ids(case):
+    # A prepared index gives the bits the raw ids give, forward and backward.
+    ids, n = SCATTER_CASES[case]
+    rng = np.random.default_rng(len(ids) + 2)
+    index = dm.segments(ids)
+    values = rng.standard_normal((len(ids), 3))
+    np.testing.assert_array_equal(dm._scatter_rows(values, index, n),
+                                  _sort_and_scatter(values, ids, n))
+    np.testing.assert_array_equal(dm.segment_sum(values, index, n).data,
+                                  dm.segment_sum(values, ids, n).data)
+
+    table, weights = rng.standard_normal((n, 3)), rng.standard_normal((len(ids), 3))
+    grads = []
+    for rows in (index, ids):
+        param = dm.DiffValue(table)
+        dm.backward(dm.sum_all(dm.mul(dm.gather_rows(param, rows), dm.constant(weights))))
+        grads.append(param.grad)
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_segment_index_window_is_the_index_of_its_rows():
+    # Disjoint id blocks, unsorted inside, as the views of a batch; one is empty.
+    rng = np.random.default_rng(3)
+    blocks = [rng.integers(0, 4, size=k) for k in (5, 0, 7, 6)]
+    ids = np.concatenate([block + 4 * i for i, block in enumerate(blocks)])
+    bounds = np.cumsum([0] + [len(block) for block in blocks])
+    index = dm.segments(ids)
+    values = rng.standard_normal((len(ids), 2))
+    for first in range(len(blocks)):
+        for last in range(first + 1, len(blocks) + 1):
+            start, stop, base = bounds[first], bounds[last], 4 * first
+            window = index.window(start, stop, base)
+            direct = dm.segments(ids[start:stop] - base)
+            for field in ("ids", "starts", "heads"):
+                np.testing.assert_array_equal(getattr(window, field), getattr(direct, field))
+            n = 4 * (last - first)
+            np.testing.assert_array_equal(dm._scatter_rows(values[start:stop], window, n),
+                                          dm._scatter_rows(values[start:stop], direct, n))
+
+
 def test_segment_sum_rejects_out_of_range_ids():
     with pytest.raises(ValueError):
         dm.segment_sum(dm.DiffValue(np.ones((2, 1))), np.array([0, 5]), 3)

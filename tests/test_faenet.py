@@ -7,8 +7,11 @@ from faframe import diffmath as dm
 from faframe import faenet
 from faframe.errors import NoForcesRequested, NonFiniteLoss, UnknownElement
 from faframe.frames import canonicalize, compute_frame, plan_views
+from faframe.elements import MAX_ATOMIC_NUMBER
 from faframe.geometry import (
     E3,
+    SE3,
+    Z_AXIS_2D,
     AtomicSystem,
     apply_transform,
     build_radius_graph,
@@ -17,6 +20,7 @@ from faframe.geometry import (
 from faframe.faenet import (
     GRADCHECK_CONFIG,
     FAENetConfig,
+    PROPERTY_COLUMNS,
     FAENetModel,
     TrainSample,
     _embed_arrays,
@@ -94,8 +98,8 @@ def test_standard_filter_matches_concatenated_edge_inputs():
     system = random_system(rng, n=7)
     batch = _make_batch([system], plan_views([system], "none"), TINY)
     h, e = _embed_arrays(model, batch)
-    src, dst = batch.src, batch.dst
-    out = _interaction_arrays(model, 0, h, e, src, dst, batch.num_atoms)
+    out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, batch.num_atoms)
+    src, dst = batch.src.ids, batch.dst.ids
 
     gate_in = np.concatenate([e.data, h.data[dst], h.data[src]], axis=1)
     gate = swish_np(gate_in @ p["interaction.0.filter_w"] + p["interaction.0.filter_b"])
@@ -119,10 +123,10 @@ def test_forward_keeps_no_tape(monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(faenet, "_net", recording_net)
-    forward(model, random_system(rng, n=5), fa_mode="full")
-    (energy, forces), = outputs
-    for value in (energy, forces):
-        assert value._parents == () and value._backward is None
+    prediction = forward(model, random_system(rng, n=5), fa_mode="full")
+    h_out, = outputs
+    assert h_out._parents == () and h_out._backward is None
+    assert prediction.forces is not None
     systems = [random_system(rng, n=4)]
     taped, _ = training_forward(model, systems, "full", E3, None, False)
     assert taped._parents and taped._backward is not None
@@ -143,6 +147,10 @@ def test_full_forward_builds_one_graph_for_eight_views(monkeypatch):
     monkeypatch.setattr(faenet, "build_radius_graph", counting)
     forward(model, system, fa_mode="full")
     assert len(built) == 1 and built[0] is system
+    # At a one-byte budget every view is a chunk of its own; they share the graph.
+    monkeypatch.setattr(faenet, "VIEW_CHUNK_BYTES", 1)
+    forward(model, system, fa_mode="full")
+    assert len(built) == 2 and built[1] is system
 
 
 def test_forward_and_training_forward_share_one_reduction(monkeypatch):
@@ -163,6 +171,126 @@ def test_forward_and_training_forward_share_one_reduction(monkeypatch):
     np.testing.assert_allclose(energy.data[:, 0], prediction.energy, rtol=1e-12)
     np.testing.assert_allclose(forces.data, np.concatenate([prediction.forces] * 2),
                                rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- view chunks
+
+
+def _counting_net(monkeypatch):
+    """Replace ``_net`` by a wrapper; returns the (views, edge rows) of each call."""
+    calls = []
+    real = faenet._net
+
+    def counting(model, batch):
+        calls.append((batch.num_outputs, batch.src.ids.size))
+        return real(model, batch)
+
+    monkeypatch.setattr(faenet, "_net", counting)
+    return calls
+
+
+def _set_chunk_rows(monkeypatch, config, rows):
+    monkeypatch.setattr(faenet, "VIEW_CHUNK_BYTES", rows * 8 * config.num_filters)
+
+
+def _hex(prediction):
+    forces = () if prediction.forces is None else prediction.forces.ravel()
+    return [float(prediction.energy).hex()] + [float(v).hex() for v in forces]
+
+
+CHUNK_BASE = dict(hidden_channels=40, num_filters=16, num_gaussians=8, num_interactions=2,
+                  cutoff=4.0, max_neighbors=8, force_head_hidden=8)
+PROPERTY_TABLE = np.random.default_rng(40).standard_normal((MAX_ATOMIC_NUMBER, PROPERTY_COLUMNS))
+# name -> (config overrides, system kind, group)
+CHUNK_CASES = {
+    "standard": ({"predict_forces": True}, "molecule", E3),
+    "no_forces": ({}, "molecule", E3),
+    "simple_filter": ({"mp_variant": "simple", "predict_forces": True}, "molecule", E3),
+    "basic_filter": ({"mp_variant": "basic", "predict_forces": True}, "molecule", E3),
+    "no_jumping": ({"jumping_connections": False, "predict_forces": True}, "molecule", E3),
+    "simple_energy_head": ({"energy_head": "simple", "predict_forces": True}, "molecule", E3),
+    "property_table": ({"property_table": PROPERTY_TABLE, "predict_forces": True},
+                       "molecule", E3),
+    "crystal": ({"predict_forces": True}, "crystal", E3),
+    "se3": ({"predict_forces": True}, "molecule", SE3),
+    "z_axis_2d": ({"predict_forces": True}, "molecule", Z_AXIS_2D),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunked_forward_is_bitwise_one_chunk(monkeypatch, case):
+    overrides, kind, group = CHUNK_CASES[case]
+    config = FAENetConfig(**{**CHUNK_BASE, **overrides})
+    rng = np.random.default_rng(41)
+    model = FAENetModel(config, rng)
+    if kind == "crystal":
+        system = _uncentred_crystal(rng, 16, np.eye(3) * 8.5)
+    else:
+        system = random_system(rng, n=9)
+    views = len(plan_views([system], "full", group).rotation)
+    edges = build_radius_graph(system, config.cutoff, config.max_neighbors).num_edges
+    assert views > 1 and edges > 1
+    calls = _counting_net(monkeypatch)
+
+    _set_chunk_rows(monkeypatch, config, views * edges)
+    whole = _hex(forward(model, system, fa_mode="full", group=group))
+    assert calls == [(views, views * edges)]
+    # one view per chunk, over the budget, and two or three views per chunk
+    for rows in (edges, edges - 1, 2 * edges, 3 * edges):
+        calls.clear()
+        _set_chunk_rows(monkeypatch, config, rows)
+        assert _hex(forward(model, system, fa_mode="full", group=group)) == whole
+        assert sum(v for v, _ in calls) == views
+        assert len(calls) == -(-views // max(rows // edges, 1))
+
+
+def test_default_budget_splits_a_default_model_bitwise(monkeypatch):
+    # The operating point: 480 filters, and a 12-atom molecule whose eight
+    # views overrun the budget and run as more than one chunk.
+    config = FAENetConfig(predict_forces=True)
+    rng = np.random.default_rng(44)
+    model = FAENetModel(config, rng)
+    system = random_system(rng, n=12)
+    calls = _counting_net(monkeypatch)
+    chunked = _hex(forward(model, system, fa_mode="full"))
+    assert len(calls) > 1
+    calls.clear()
+    monkeypatch.setattr(faenet, "VIEW_CHUNK_BYTES", 2**62)
+    assert _hex(forward(model, system, fa_mode="full")) == chunked
+    assert len(calls) == 1
+
+
+def test_no_net_call_exceeds_the_chunk_budget(monkeypatch):
+    config = FAENetConfig(**{**CHUNK_BASE, "predict_forces": True})
+    rng = np.random.default_rng(42)
+    model = FAENetModel(config, rng)
+    system = random_system(rng, n=8)
+    edges = build_radius_graph(system, config.cutoff, config.max_neighbors).num_edges
+    calls = _counting_net(monkeypatch)
+    expected = {1: [1] * 8, edges - 1: [1] * 8, edges: [1] * 8, 2 * edges: [2] * 4,
+                5 * edges // 2: [2] * 4, 3 * edges: [3, 3, 2], 8 * edges: [8]}
+    for rows, chunk_views in expected.items():
+        calls.clear()
+        _set_chunk_rows(monkeypatch, config, rows)
+        forward(model, system, fa_mode="full")
+        assert [v for v, _ in calls] == chunk_views
+        for chunk, chunk_edges in calls:
+            assert chunk_edges == chunk * edges
+            assert chunk_edges <= rows or chunk == 1
+
+
+def test_training_forward_is_one_net_call(monkeypatch):
+    # Recording the tape keeps one batch whatever the budget.
+    monkeypatch.setattr(faenet, "VIEW_CHUNK_BYTES", 1)
+    rng = np.random.default_rng(43)
+    model = FAENetModel(GRADCHECK_CONFIG, rng)
+    systems = [random_system(rng, n=5), random_system(rng, n=6)]
+    calls = _counting_net(monkeypatch)
+    training_forward(model, systems, "full", E3, None, True)
+    assert [v for v, _ in calls] == [16]
+    calls.clear()
+    forward(model, systems[0], fa_mode="full")
+    assert [v for v, _ in calls] == [1] * 8
 
 
 def _uncentred_crystal(rng, n, cell):
@@ -478,6 +606,13 @@ def test_config_validation():
         FAENetConfig(mp_variant="fancy")
     with pytest.raises(ValueError):
         FAENetConfig(energy_head="gated")
+
+
+@pytest.mark.parametrize("cutoff", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_cutoff(cutoff):
+    # nan slips past a "<= 0" test and inf makes the radial basis nan.
+    with pytest.raises(ValueError, match="cutoff"):
+        FAENetConfig(cutoff=cutoff)
 
 
 def test_mp_variants_all_run():

@@ -16,8 +16,6 @@ from faframe.frames import (
     FA_MODES,
     canonicalize,
     compute_frame,
-    frame_from_text,
-    frame_to_text,
     full_fa_predict,
     plan_views,
     stochastic_fa_predict,
@@ -557,20 +555,3 @@ def test_stochastic_mean_matches_full_within_3_se():
     ])
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean() - exact) <= 3 * se
-
-
-# -------------------------------------------------------------- serialization
-
-
-def test_frame_text_roundtrip():
-    rng = np.random.default_rng(18)
-    for group in (E3, SE3, Z_AXIS_2D):
-        frame = compute_frame(random_system(rng), group)
-        back = frame_from_text(frame_to_text(frame))
-        assert back.group == frame.group
-        assert back.degenerate == frame.degenerate
-        assert len(back.elements) == len(frame.elements)
-        np.testing.assert_array_equal(back.eigenvalues, frame.eigenvalues)
-        for a, b in zip(frame.elements, back.elements):
-            np.testing.assert_array_equal(a.rotation, b.rotation)
-            np.testing.assert_array_equal(a.translation, b.translation)

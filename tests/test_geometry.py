@@ -208,6 +208,14 @@ def test_two_atoms_within_cutoff():
     np.testing.assert_allclose(graph.distances, [3.0, 3.0])
 
 
+@pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), 0.0])
+def test_radius_graph_rejects_a_cutoff_that_is_not_positive_and_finite(cutoff):
+    # nan would keep no edge at all, and silently.
+    system = AtomicSystem(np.array([[0.0, 0, 0], [3.0, 0, 0]]), np.array([6, 6]))
+    with pytest.raises(ValueError, match="cutoff"):
+        build_radius_graph(system, cutoff=cutoff, max_neighbors=10)
+
+
 def test_two_atoms_outside_cutoff():
     system = AtomicSystem(np.array([[0.0, 0, 0], [3.0, 0, 0]]), np.array([6, 6]))
     graph = build_radius_graph(system, cutoff=1.0, max_neighbors=10)
