@@ -24,7 +24,6 @@ from .geometry import (
     RadiusGraph,
     apply_transform,
     build_radius_graph,
-    pbc_edge_vector,
     random_transform,
 )
 from .frames import (

@@ -22,7 +22,11 @@ class NonFiniteInput(FaframeError, ValueError):
 
 
 class CutoffExceedsImageRange(FaframeError, ValueError):
-    """The radius cutoff requires periodic images beyond offset +/-1."""
+    """A cutoff that needed periodic images beyond offset +/-1.
+
+    The radius graph now reaches every image its cutoff needs and no longer
+    raises this; it stays importable for code that catches it.
+    """
 
 
 class UnknownElement(FaframeError, ValueError):

@@ -7,20 +7,27 @@ Conventions used throughout the package:
 - a transform g = (U, t) acts on row-vector positions as ``X @ U.T + t``;
   cell rows are lattice vectors, so g rotates them, ``cell @ U.T``, and
   never translates them
-- periodic image offsets are integer triples with entries in {-1, 0, 1}
+- a radius-graph edge's offset is an integer triple with no fixed range:
+  the edge's source image sits at ``positions[src] - offset @ cell``
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffExceedsImageRange, NonFiniteInput, UnknownElement
+from .errors import NonFiniteInput, UnknownElement
 
 ORTHONORMAL_TOL = 1e-10
 CELL_DET_TOL = 1e-10
+
+# Radius-graph bins are at least cutoff * (1 + BIN_SLACK) wide, so rounding
+# in the bin coordinates never puts a pair within the cutoff out of reach.
+BIN_SLACK = 1e-9
+_IDENTITY = np.eye(3)
+_UNIT = np.ones(3, dtype=np.int64)
 
 # Random rigid motions draw each translation component uniformly from
 # [-TRANSLATION_RANGE, TRANSLATION_RANGE] angstrom.
@@ -219,28 +226,6 @@ def random_transform(group: str, rng: np.random.Generator) -> EuclideanTransform
     return EuclideanTransform(rotation=rotation, translation=translation)
 
 
-def pbc_edge_vector(
-    x_to: np.ndarray,
-    x_from: np.ndarray,
-    offset: np.ndarray,
-    cell: np.ndarray | None,
-) -> np.ndarray:
-    """Relative vector (x_to - x_from) + offset @ cell.
-
-    ``offset`` counts whole-cell shifts of the source image; with a zero
-    offset this is the plain difference and the cell may be omitted.
-    """
-    x_to = np.asarray(x_to, dtype=np.float64)
-    x_from = np.asarray(x_from, dtype=np.float64)
-    offset = np.asarray(offset, dtype=np.float64)
-    diff = x_to - x_from
-    if np.any(offset != 0):
-        if cell is None:
-            raise ValueError("nonzero offset requires a cell")
-        diff = diff + offset @ np.asarray(cell, dtype=np.float64)
-    return diff
-
-
 @dataclass(frozen=True)
 class RadiusGraph:
     """Directed neighbor graph under a distance cutoff.
@@ -273,10 +258,20 @@ class RadiusGraph:
         ]
 
 
-def _axis_offsets(pbc: tuple[bool, bool, bool], reach: int) -> np.ndarray:
-    """All integer offsets with |component| <= reach on periodic axes."""
-    ranges = [range(-reach, reach + 1) if flag else (0,) for flag in pbc]
-    return np.array(list(itertools.product(*ranges)), dtype=np.int64)
+@functools.lru_cache(maxsize=64)
+def _offset_box(half: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every integer triple with ``|o[i]| <= half[i]``, in lexicographic order.
+
+    Returns the (R, 3) table, the per-axis widths ``2 * half + 1``, and the
+    strides that send a triple o to its row, ``(o + half) @ strides``; the
+    zero triple is row ``R // 2``. The arrays are shared and read-only.
+    """
+    width = np.array([2 * h + 1 for h in half])
+    box = np.indices(width).reshape(3, -1).T - np.array(half)
+    strides = np.array([width[1] * width[2], width[2], 1])
+    for array in (box, width, strides):
+        array.flags.writeable = False
+    return box, width, strides
 
 
 def build_radius_graph(
@@ -286,108 +281,102 @@ def build_radius_graph(
 ) -> RadiusGraph:
     """Build the directed radius graph of a system.
 
-    Periodic systems enumerate source images at offsets in {-1, 0, 1} along
-    each periodic axis. If any strictly farther image (an offset component of
-    magnitude 2) would still fall inside the cutoff, the cutoff is too large
-    for that cell and CutoffExceedsImageRange is raised.
+    Every source image within the cutoff is found, however many cells away:
+    the cutoff over each periodic axis's plane spacing (volume / |a x b|)
+    sets how far the search reaches, so a cell narrower than the cutoff
+    simply yields larger offsets. Positions need not lie inside the cell.
+
+    Atoms are sorted into bins at least the cutoff wide (fractional
+    coordinates on a periodic cell, angstrom on an aperiodic system) and each
+    atom is paired with the atoms of the bins within reach. Time and memory
+    go with the number of atoms and of these candidate pairs, not with n^2.
+    One more table holds a shift per possible offset; it grows with how many
+    whole cells apart the stored positions lie.
     """
     if not (np.isfinite(cutoff) and cutoff > 0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-    if max_neighbors < 1:
-        raise ValueError(f"max_neighbors must be >= 1, got {max_neighbors}")
+    if (isinstance(max_neighbors, (bool, np.bool_))
+            or not isinstance(max_neighbors, (int, np.integer)) or max_neighbors < 1):
+        raise ValueError(f"max_neighbors must be a positive integer, got {max_neighbors!r}")
 
     positions = system.positions
-    n = system.num_atoms
-    periodic = system.is_periodic
-    cell = system.cell if periodic else None
-
-    if periodic:
-        offsets = _axis_offsets(system.pbc, 2)
-        beyond = np.abs(offsets).max(axis=1) == 2
-        inner = offsets[~beyond]
-        outer = offsets[beyond]
+    pbc = np.array(system.pbc)
+    padded = cutoff * (1.0 + BIN_SLACK)
+    if system.is_periodic:
+        cell = system.cell
+        inverse = np.linalg.inv(cell)
+        # Plane spacing over the padded cutoff, per cell axis.
+        per_cutoff = 1.0 / (np.sqrt((inverse * inverse).sum(axis=0)) * padded)
+        bins_per_cell = np.maximum(np.floor(per_cutoff), 1.0)
+        reach = np.ceil(bins_per_cell / per_cutoff).astype(np.int64)
+        steps, width, _ = _offset_box(tuple(reach.tolist()))
+        bins_per_cell = bins_per_cell.astype(np.int64)
+        cells = np.floor(positions @ (inverse * bins_per_cell)).astype(np.int64)
     else:
-        inner = np.zeros((1, 3), dtype=np.int64)
-        outer = np.zeros((0, 3), dtype=np.int64)
+        cell = _IDENTITY  # the one offset, 0, then shifts by exactly +0.0
+        bins_per_cell = reach = _UNIT
+        steps, width, _ = _offset_box((1, 1, 1))
+        cells = np.floor(positions * (1.0 / padded)).astype(np.int64)
 
-    src_parts, dst_parts, off_parts, vec_parts, dist_parts = [], [], [], [], []
-    dst_idx, src_idx = np.mgrid[0:n, 0:n]
-    dst_idx = dst_idx.ravel()
-    src_idx = src_idx.ravel()
+    # Lift the lowest bin to `reach`: on an aperiodic axis every step then
+    # lands inside [0, size) and never wraps, so its offset stays 0.
+    low = cells.min(axis=0)
+    span = cells.max(axis=0) - low
+    cells -= low - reach
+    size = np.where(pbc, bins_per_cell, span + width)
+    strides = np.array([size[1] * size[2], size[2], 1])
+    img, wrapped = np.divmod(cells, size)  # each atom's whole-cell image and bin
+    bin_id = wrapped @ strides
+    order = bin_id.argsort(kind="stable")
+    sorted_bins = bin_id.take(order)
 
-    for offset in outer:
-        shift = offset.astype(np.float64) @ cell
-        diff = positions[:, None, :] - positions[None, :, :] + shift
-        dist = np.linalg.norm(diff, axis=-1)
-        if np.any(dist < cutoff):
-            raise CutoffExceedsImageRange(
-                f"cutoff {cutoff} angstrom reaches periodic images beyond offset +/-1 "
-                f"for this cell; reduce the cutoff or enlarge the cell"
-            )
+    # One pass over (atom, step) pairs: the bin each step lands in, the image
+    # of the cell it lands in, and that bin's slice of `order`.
+    image, wrapped = np.divmod(cells[:, None, :] + steps, size)
+    target = (wrapped @ strides).ravel()
+    first = sorted_bins.searchsorted(target)
+    count = sorted_bins.searchsorted(target, "right") - first
+    ends = count.cumsum()
+    pair = np.arange(count.size).repeat(count)
+    src = order.take(np.arange(ends[-1]) + (first - ends + count).take(pair))
+    dst = pair // len(steps)
 
-    for offset in inner:
-        if periodic:
-            shift = offset.astype(np.float64) @ cell
-        else:
-            shift = np.zeros(3)
-        diff = positions[:, None, :] - positions[None, :, :] + shift
-        dist = np.linalg.norm(diff, axis=-1)
-        hit = dist < cutoff
-        if not offset.any():
-            np.fill_diagonal(hit, False)
-        flat = hit.ravel()
-        if not flat.any():
-            continue
-        keep = np.flatnonzero(flat)
-        dst_parts.append(dst_idx[keep])
-        src_parts.append(src_idx[keep])
-        off_parts.append(np.broadcast_to(offset, (keep.size, 3)))
-        vec_parts.append(diff.reshape(-1, 3)[keep])
-        dist_parts.append(dist.ravel()[keep])
+    # A candidate's offset is img[src] - image[pair]; `key` is its row in the
+    # box of offsets that can occur. img spans (span + reach) // size -
+    # reach // size cells, and a step's image is within reach of its atom's.
+    half = np.where(pbc, (span + reach) // size - reach // size + reach, 0)
+    offsets, _, box_strides = _offset_box(tuple(half.tolist()))
+    rows = len(offsets)
+    zero = rows // 2
+    key = (img @ box_strides + zero).take(src) - (image @ box_strides).ravel().take(pair)
 
-    if dst_parts:
-        dst_all = np.concatenate(dst_parts)
-        src_all = np.concatenate(src_parts)
-        off_all = np.concatenate(off_parts)
-        vec_all = np.concatenate(vec_parts)
-        dist_all = np.concatenate(dist_parts)
-    else:
-        dst_all = np.zeros(0, dtype=np.int64)
-        src_all = np.zeros(0, dtype=np.int64)
-        off_all = np.zeros((0, 3), dtype=np.int64)
-        vec_all = np.zeros((0, 3))
-        dist_all = np.zeros(0)
+    # One (3,) @ (3, 3) product per offset (a stack of such products), then
+    # (x_dst - x_src) + shift, and the row norm summed as np.linalg.norm does.
+    shifts = (offsets[:, None, :].astype(np.float64) @ cell)[:, 0]
+    vec = positions.take(dst, axis=0)
+    vec -= positions.take(src, axis=0)
+    vec += shifts.take(key, axis=0)
+    dist = np.sqrt(np.add.reduce(vec * vec, axis=1))
 
     # Deterministic order: group by destination, then nearest first with ties
-    # broken by source index and lexicographic offset.
-    order = np.lexsort((off_all[:, 2], off_all[:, 1], off_all[:, 0], src_all, dist_all, dst_all))
-    dst_all = dst_all[order]
-    src_all = src_all[order]
-    off_all = off_all[order]
-    vec_all = vec_all[order]
-    dist_all = dist_all[order]
-
-    if dst_all.size:
-        # Rank of each edge within its destination block; keep the first
-        # max_neighbors incoming edges per node.
-        boundaries = np.flatnonzero(np.diff(dst_all)) + 1
-        starts = np.concatenate(([0], boundaries))
-        block_start = np.repeat(starts, np.diff(np.concatenate((starts, [dst_all.size]))))
-        rank = np.arange(dst_all.size) - block_start
-        keep = rank < max_neighbors
-        dst_all = dst_all[keep]
-        src_all = src_all[keep]
-        off_all = off_all[keep]
-        vec_all = vec_all[keep]
-        dist_all = dist_all[keep]
+    # broken by source index and lexicographic offset (tie = src, then key).
+    # Each atom's pair with itself at offset 0 is dropped.
+    tie = src * rows + key
+    hit = ((dist < cutoff) & (tie != dst * rows + zero)).nonzero()[0]
+    tie, dst, dist = tie.take(hit), dst.take(hit), dist.take(hit)
+    order = np.lexsort((tie, dist, dst))
+    # Candidates come destination by destination, so dst is already sorted
+    # and an edge's rank is its position past the first edge into its node.
+    keep = order[np.arange(dst.size) - dst.searchsorted(dst) < max_neighbors]
+    src, key = np.divmod(tie.take(keep), rows)
 
     return RadiusGraph(
-        src=src_all,
-        dst=dst_all,
-        offsets=np.ascontiguousarray(off_all),
-        distances=dist_all,
-        rel_vectors=vec_all,
+        src=src,
+        dst=dst.take(keep),
+        offsets=offsets.take(key, axis=0),
+        distances=dist.take(keep),
+        rel_vectors=vec.take(hit.take(keep), axis=0),
         cutoff=float(cutoff),
         max_neighbors=int(max_neighbors),
-        num_nodes=n,
+        num_nodes=system.num_atoms,
     )

@@ -14,9 +14,9 @@ from faframe.geometry import (
     Z_AXIS_2D,
     AtomicSystem,
     EuclideanTransform,
+    RadiusGraph,
     apply_transform,
     build_radius_graph,
-    pbc_edge_vector,
     random_transform,
 )
 
@@ -30,6 +30,136 @@ def random_system(rng, n=None, periodic=False, scale=2.0):
         frac = rng.uniform(0.0, 1.0, size=(n, 3))
         return AtomicSystem(frac @ cell, numbers, cell=cell, pbc=(True, True, True))
     return AtomicSystem(rng.standard_normal((n, 3)) * scale, numbers)
+
+
+def oracle_edges(system, cutoff):
+    """Every edge within the cutoff, over every offset the cutoff can need.
+
+    Along a periodic axis with plane spacing d, a pair within the cutoff
+    needs |offset| <= ceil(cutoff / d) plus the spread of the atoms' whole-
+    cell coordinates; one more is enumerated for margin. Returns
+    {(src, dst, offset): (distance, vector)}.
+    """
+    ranges = [np.zeros(1, dtype=np.int64)] * 3
+    shifts = np.zeros((1, 3))
+    if system.is_periodic:
+        inverse = np.linalg.inv(system.cell)
+        whole = np.floor(system.positions @ inverse)
+        spread = whole.max(axis=0) - whole.min(axis=0)
+        spacing = 1.0 / np.linalg.norm(inverse, axis=0)
+        ranges = [np.arange(-r, r + 1) if p else np.zeros(1, dtype=np.int64)
+                  for r, p in zip((np.ceil(cutoff / spacing) + spread + 1).astype(int), system.pbc)]
+    offsets = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
+    if system.is_periodic:
+        shifts = offsets @ system.cell
+    pos = system.positions
+    vec = pos[:, None, None, :] - pos[None, :, None, :] + shifts  # [dst, src, offset]
+    dist = np.linalg.norm(vec, axis=-1)
+    within = dist < cutoff
+    n = len(pos)
+    within[np.arange(n), np.arange(n)] &= offsets.any(axis=1)
+    return {
+        (int(s), int(d), tuple(int(x) for x in offsets[k])): (dist[d, s, k], vec[d, s, k])
+        for d, s, k in zip(*np.nonzero(within))
+    }
+
+
+def dense_radius_graph(system, cutoff, max_neighbors):
+    """The dense builder that came before the binned search, kept as its reference.
+
+    It scans all n x n pairs at each offset in {-1, 0, 1} per periodic axis
+    and raises CutoffExceedsImageRange when an offset of magnitude 2 would
+    still reach inside the cutoff.
+    """
+    positions = system.positions
+    n = system.num_atoms
+    periodic = system.is_periodic
+    cell = system.cell if periodic else None
+
+    if periodic:
+        ranges = [range(-2, 3) if flag else (0,) for flag in system.pbc]
+        offsets = np.array(list(itertools.product(*ranges)), dtype=np.int64)
+        beyond = np.abs(offsets).max(axis=1) == 2
+        inner = offsets[~beyond]
+        outer = offsets[beyond]
+    else:
+        inner = np.zeros((1, 3), dtype=np.int64)
+        outer = np.zeros((0, 3), dtype=np.int64)
+
+    src_parts, dst_parts, off_parts, vec_parts, dist_parts = [], [], [], [], []
+    dst_idx, src_idx = np.mgrid[0:n, 0:n]
+    dst_idx = dst_idx.ravel()
+    src_idx = src_idx.ravel()
+
+    for offset in outer:
+        shift = offset.astype(np.float64) @ cell
+        diff = positions[:, None, :] - positions[None, :, :] + shift
+        dist = np.linalg.norm(diff, axis=-1)
+        if np.any(dist < cutoff):
+            raise CutoffExceedsImageRange(f"cutoff {cutoff} reaches images beyond +/-1")
+
+    for offset in inner:
+        if periodic:
+            shift = offset.astype(np.float64) @ cell
+        else:
+            shift = np.zeros(3)
+        diff = positions[:, None, :] - positions[None, :, :] + shift
+        dist = np.linalg.norm(diff, axis=-1)
+        hit = dist < cutoff
+        if not offset.any():
+            np.fill_diagonal(hit, False)
+        flat = hit.ravel()
+        if not flat.any():
+            continue
+        keep = np.flatnonzero(flat)
+        dst_parts.append(dst_idx[keep])
+        src_parts.append(src_idx[keep])
+        off_parts.append(np.broadcast_to(offset, (keep.size, 3)))
+        vec_parts.append(diff.reshape(-1, 3)[keep])
+        dist_parts.append(dist.ravel()[keep])
+
+    if dst_parts:
+        dst_all = np.concatenate(dst_parts)
+        src_all = np.concatenate(src_parts)
+        off_all = np.concatenate(off_parts)
+        vec_all = np.concatenate(vec_parts)
+        dist_all = np.concatenate(dist_parts)
+    else:
+        dst_all = np.zeros(0, dtype=np.int64)
+        src_all = np.zeros(0, dtype=np.int64)
+        off_all = np.zeros((0, 3), dtype=np.int64)
+        vec_all = np.zeros((0, 3))
+        dist_all = np.zeros(0)
+
+    order = np.lexsort((off_all[:, 2], off_all[:, 1], off_all[:, 0], src_all, dist_all, dst_all))
+    dst_all = dst_all[order]
+    src_all = src_all[order]
+    off_all = off_all[order]
+    vec_all = vec_all[order]
+    dist_all = dist_all[order]
+
+    if dst_all.size:
+        boundaries = np.flatnonzero(np.diff(dst_all)) + 1
+        starts = np.concatenate(([0], boundaries))
+        block_start = np.repeat(starts, np.diff(np.concatenate((starts, [dst_all.size]))))
+        rank = np.arange(dst_all.size) - block_start
+        keep = rank < max_neighbors
+        dst_all = dst_all[keep]
+        src_all = src_all[keep]
+        off_all = off_all[keep]
+        vec_all = vec_all[keep]
+        dist_all = dist_all[keep]
+
+    return RadiusGraph(
+        src=src_all,
+        dst=dst_all,
+        offsets=np.ascontiguousarray(off_all),
+        distances=dist_all,
+        rel_vectors=vec_all,
+        cutoff=float(cutoff),
+        max_neighbors=int(max_neighbors),
+        num_nodes=n,
+    )
 
 
 def brute_force_edges(system, cutoff, max_neighbors):
@@ -164,40 +294,6 @@ def test_translations_stay_in_range():
         assert np.abs(g.translation).max() <= 10.0
 
 
-# ---------------------------------------------------------------- pbc vector
-
-
-def test_pbc_edge_vector_zero_offset_plain_difference():
-    a = np.array([1.0, 2.0, 3.0])
-    b = np.array([0.5, -1.0, 4.0])
-    np.testing.assert_array_equal(pbc_edge_vector(a, b, np.zeros(3), None), a - b)
-
-
-def test_pbc_edge_vector_cubic_cell():
-    cell = np.diag([10.0, 10.0, 10.0])
-    xi = np.array([1.0, 0.0, 0.0])
-    xj = np.array([9.0, 0.0, 0.0])
-    vec = pbc_edge_vector(xi, xj, np.array([1, 0, 0]), cell)
-    np.testing.assert_allclose(vec, [2.0, 0.0, 0.0], atol=1e-12)
-    assert np.linalg.norm(vec) == pytest.approx(2.0)
-
-
-def test_pbc_edge_vector_antisymmetry():
-    rng = np.random.default_rng(8)
-    cell = np.diag([9.0, 10.0, 11.0]) + rng.uniform(-0.3, 0.3, (3, 3))
-    for _ in range(20):
-        xi, xj = rng.uniform(0, 9, (2, 3))
-        offset = rng.integers(-1, 2, size=3)
-        forward = pbc_edge_vector(xi, xj, offset, cell)
-        backward = pbc_edge_vector(xj, xi, -offset, cell)
-        np.testing.assert_allclose(forward, -backward, atol=1e-12)
-
-
-def test_pbc_edge_vector_requires_cell_for_offsets():
-    with pytest.raises(ValueError):
-        pbc_edge_vector(np.zeros(3), np.ones(3), np.array([1, 0, 0]), None)
-
-
 # --------------------------------------------------------------- radius graph
 
 
@@ -214,6 +310,21 @@ def test_radius_graph_rejects_a_cutoff_that_is_not_positive_and_finite(cutoff):
     system = AtomicSystem(np.array([[0.0, 0, 0], [3.0, 0, 0]]), np.array([6, 6]))
     with pytest.raises(ValueError, match="cutoff"):
         build_radius_graph(system, cutoff=cutoff, max_neighbors=10)
+
+
+@pytest.mark.parametrize("max_neighbors", [2.5, 3.0, True, False, 0, -1, "4"])
+def test_radius_graph_rejects_a_max_neighbors_that_is_not_a_positive_integer(max_neighbors):
+    # 2.5 used to keep three edges per node and record 2; True passed as 1.
+    system = AtomicSystem(np.array([[0.0, 0, 0], [3.0, 0, 0]]), np.array([6, 6]))
+    with pytest.raises(ValueError, match="max_neighbors"):
+        build_radius_graph(system, cutoff=5.0, max_neighbors=max_neighbors)
+
+
+def test_radius_graph_records_a_numpy_integer_max_neighbors_as_int():
+    system = AtomicSystem(np.array([[0.0, 0, 0], [3.0, 0, 0]]), np.array([6, 6]))
+    graph = build_radius_graph(system, cutoff=5.0, max_neighbors=np.int64(1))
+    assert type(graph.max_neighbors) is int and graph.max_neighbors == 1
+    assert graph.num_edges == 2
 
 
 def test_two_atoms_outside_cutoff():
@@ -254,12 +365,8 @@ def test_rel_vectors_match_endpoint_difference():
     system = random_system(rng, n=6, periodic=True)
     graph = build_radius_graph(system, cutoff=4.0, max_neighbors=20)
     for e in range(graph.num_edges):
-        vec = pbc_edge_vector(
-            system.positions[graph.dst[e]],
-            system.positions[graph.src[e]],
-            graph.offsets[e],
-            system.cell,
-        )
+        vec = (system.positions[graph.dst[e]] - system.positions[graph.src[e]]
+               + graph.offsets[e] @ system.cell)
         np.testing.assert_allclose(graph.rel_vectors[e], vec, atol=1e-12)
         assert np.linalg.norm(vec) == pytest.approx(graph.distances[e], abs=1e-12)
 
@@ -286,14 +393,103 @@ def test_max_neighbors_tie_breaks_by_source_index():
     assert winners == [1, 2]
 
 
-def test_cutoff_beyond_image_range_raises():
+def _assert_matches_oracle(system, cutoff):
+    graph = build_radius_graph(system, cutoff, max_neighbors=100_000)
+    expected = oracle_edges(system, cutoff)
+    assert sorted(graph.edges) == sorted(expected)
+    for edge, dist, vec in zip(graph.edges, graph.distances, graph.rel_vectors):
+        assert abs(dist - expected[edge][0]) <= 1e-9
+        assert np.abs(vec - expected[edge][1]).max() <= 1e-9
+    return graph
+
+
+def test_cutoff_beyond_one_cell_matches_an_oracle_of_every_needed_image():
+    # This 2 A cell at a 3.5 A cutoff used to raise CutoffExceedsImageRange.
     cell = np.diag([2.0, 2.0, 2.0])
     system = AtomicSystem(
         np.array([[0.5, 0.5, 0.5], [1.5, 1.5, 1.5]]), np.array([1, 1]),
         cell=cell, pbc=(True, True, True),
     )
-    with pytest.raises(CutoffExceedsImageRange):
-        build_radius_graph(system, cutoff=3.5, max_neighbors=10)
+    graph = _assert_matches_oracle(system, 3.5)
+    assert np.abs(graph.offsets).max() == 2
+
+    # Narrow skewed cells, atoms stored up to two cells outside, every
+    # combination of periodic axes, single atoms included.
+    rng = np.random.default_rng(13)
+    for pbc in itertools.product((False, True), repeat=3):
+        for _ in range(6):
+            n = int(rng.integers(1, 5))
+            cell = np.diag(rng.uniform(1.5, 5.0, 3)) + rng.uniform(-0.4, 0.4, (3, 3))
+            frac = rng.uniform(-1.5, 2.5, (n, 3))
+            system = AtomicSystem(frac @ cell, np.full(n, 6), cell=cell, pbc=pbc)
+            _assert_matches_oracle(system, float(rng.uniform(2.0, 5.0)))
+
+
+def test_moving_atoms_by_lattice_vectors_keeps_the_graph():
+    # The same crystal with atoms stored whole cells away. The dense builder
+    # lost edges here without an error: moving atom 0 by 3 * cell[0] took
+    # this graph from 44 edges to 36.
+    rng = np.random.default_rng(0)
+    cell = np.diag([9.0, 9.5, 10.0])
+    positions = rng.uniform(0.0, 1.0, (12, 3)) @ cell
+    numbers = np.full(12, 6)
+    reference = build_radius_graph(
+        AtomicSystem(positions, numbers, cell=cell, pbc=(True, True, True)), 4.0, 100)
+    assert reference.num_edges == 44
+    moves = [np.zeros((12, 3), dtype=int)] + [rng.integers(-3, 4, (12, 3)) for _ in range(20)]
+    moves[0][0] = (3, 0, 0)
+    for k in moves:
+        moved = AtomicSystem(positions + k @ cell, numbers, cell=cell, pbc=(True, True, True))
+        graph = build_radius_graph(moved, 4.0, 100)
+        assert graph.num_edges == reference.num_edges
+        np.testing.assert_allclose(np.sort(graph.distances), np.sort(reference.distances),
+                                   rtol=0, atol=1e-9)
+
+
+def test_matches_the_dense_reference_bit_for_bit():
+    # Wherever the dense builder returns a graph, the binned one returns the
+    # same arrays, byte for byte: molecules, wrapped and partly periodic
+    # crystals, atoms just outside the cell, and lattice sites whose exact
+    # distance ties the order must break by source index and offset.
+    rng = np.random.default_rng(14)
+    compared = capped = tied = 0
+    for trial in range(150):
+        n = int(rng.integers(1, 25))
+        family = trial % 5
+        if family == 0:
+            system = AtomicSystem(rng.standard_normal((n, 3)) * rng.uniform(0.5, 4.0),
+                                  rng.integers(1, 9, n))
+        else:
+            cell = np.diag(rng.uniform(6.0, 12.0, 3)) + rng.uniform(-1.0, 1.0, (3, 3))
+            frac = rng.uniform(0.0, 1.0, (n, 3))
+            pbc = (True, True, True)
+            if family == 2:
+                pbc = tuple(bool(flag) for flag in rng.integers(0, 2, 3))
+                pbc = pbc if any(pbc) else (False, True, False)
+            if family == 3:
+                frac = rng.uniform(-0.1, 1.1, (n, 3))
+            if family == 4:
+                cell = np.diag(np.full(3, rng.uniform(6.0, 10.0)))
+                frac = rng.integers(0, 4, (n, 3)) / 4.0
+            system = AtomicSystem(frac @ cell, rng.integers(1, 9, n), cell=cell, pbc=pbc)
+        cutoff = float(rng.uniform(1.5, 5.5))
+        max_neighbors = int(rng.integers(1, 30))
+        try:
+            expected = dense_radius_graph(system, cutoff, max_neighbors)
+        except CutoffExceedsImageRange:
+            continue
+        graph = build_radius_graph(system, cutoff, max_neighbors)
+        for name in ("src", "dst", "offsets", "distances", "rel_vectors"):
+            got, want = getattr(graph, name), getattr(expected, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        assert (graph.cutoff, graph.max_neighbors, graph.num_nodes) == (
+            expected.cutoff, expected.max_neighbors, expected.num_nodes)
+        compared += 1
+        full = dense_radius_graph(system, cutoff, 100_000)
+        capped += full.num_edges > expected.num_edges
+        tied += any(np.any(np.diff(full.distances[full.dst == d]) == 0) for d in range(n))
+    assert compared >= 120 and capped >= 20 and tied >= 10, (compared, capped, tied)
 
 
 def test_graph_invariant_under_isometry_aperiodic():
