@@ -24,6 +24,7 @@ from .geometry import (
     RadiusGraph,
     apply_transform,
     build_radius_graph,
+    build_radius_graphs,
     random_transform,
 )
 from .frames import (
@@ -31,6 +32,7 @@ from .frames import (
     Frame,
     canonicalize,
     compute_frame,
+    compute_frames,
     full_fa_predict,
     stochastic_fa_predict,
     uncanonicalize_output,

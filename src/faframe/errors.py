@@ -29,6 +29,10 @@ class CutoffExceedsImageRange(FaframeError, ValueError):
     """
 
 
+class EmptyBatch(FaframeError, ValueError):
+    """A forward or training pass was given no systems."""
+
+
 class UnknownElement(FaframeError, ValueError):
     """An atomic number or symbol outside the supported 118 elements."""
 

@@ -2,9 +2,9 @@
 
 The backbone never sees raw coordinates: every input is first planned
 into one or more views (see :mod:`faframe.frames`), each a rotation of the
-input. The network runs on the system's radius graph, built once in the
-input pose, with the edge vectors turned into each view's axes; outputs
-are mapped back and averaged.
+input. The network runs on each system's radius graph, built in the input
+pose by one search per batch, with the edge vectors turned into each view's
+axes; outputs are mapped back and averaged.
 Energies are per-system scalars; forces, when enabled, come from a direct
 per-atom head evaluated in canonical axes.
 
@@ -28,9 +28,9 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
-from .errors import NonFiniteLoss, NoForcesRequested, UnknownElement
+from .errors import EmptyBatch, NonFiniteLoss, NoForcesRequested, UnknownElement
 from .frames import ViewPlan, plan_views
-from .geometry import E3, AtomicSystem, build_radius_graph
+from .geometry import E3, AtomicSystem, build_radius_graphs
 
 MP_VARIANTS = ("standard", "simple", "basic")
 ENERGY_HEADS = ("weighted", "simple")
@@ -248,49 +248,52 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
                 config: FAENetConfig) -> _Batch:
     """Merge a plan's views into one disjoint graph, one output per view.
 
-    Each system's radius graph and radial block are built once, in its input
-    pose; every view of it shares them and turns the edge vectors by the
-    view's rotation. Row ``r`` of the batch is input atom ``atom_input[r]``
-    (atoms of all systems numbered in order) seen in view ``atom_output[r]``.
-    View ``v`` holds atom rows ``view_atoms[v]:view_atoms[v + 1]``, and so
-    for edges; ``src`` and ``dst`` are indexed once for every scatter.
+    The systems' radius graphs come from one search and their radial block
+    from one pass, in the input pose; every view of a system shares them and
+    turns the edge vectors by the view's rotation. Row ``r`` of the batch is
+    input atom ``atom_input[r]`` (atoms of all systems numbered in order)
+    seen in view ``atom_output[r]``. View ``v`` holds atom rows
+    ``view_atoms[v]:view_atoms[v + 1]``, and so for edges; ``src`` and
+    ``dst`` are indexed once for every scatter.
     """
-    for system in systems:
-        _validate_numbers(system.atomic_numbers)
-    graphs = [build_radius_graph(s, config.cutoff, config.max_neighbors) for s in systems]
-    radials = [rbf(g.distances, config.num_gaussians, config.cutoff) for g in graphs]
-    firsts = np.cumsum([0] + [system.num_atoms for system in systems])
-    z_parts, edge_parts, src_parts, dst_parts, out_parts, in_parts = [], [], [], [], [], []
-    view_atoms, view_edges = [0], [0]
-    offset = 0
-    for view, (index, rotation) in enumerate(zip(plan.sample, plan.rotation)):
-        system, graph = systems[index], graphs[index]
-        z_parts.append(system.atomic_numbers - 1)
-        edge_parts.append(np.concatenate([graph.rel_vectors @ rotation, radials[index]], axis=1))
-        src_parts.append(graph.src + offset)
-        dst_parts.append(graph.dst + offset)
-        out_parts.append(np.full(system.num_atoms, view, dtype=np.int64))
-        in_parts.append(np.arange(firsts[index], firsts[index + 1]))
-        offset += system.num_atoms
-        view_atoms.append(offset)
-        view_edges.append(view_edges[-1] + graph.num_edges)
-    z_index = np.concatenate(z_parts)
+    if not systems:
+        raise EmptyBatch("empty batch: at least one system is needed")
+    numbers = np.concatenate([system.atomic_numbers for system in systems])
+    _validate_numbers(numbers)
+    graphs = build_radius_graphs(systems, config.cutoff, config.max_neighbors)
+    radial = rbf(np.concatenate([graph.distances for graph in graphs]), config.num_gaussians,
+                 config.cutoff)
+    # First atom and edge of each system in the joined input arrays, and of
+    # each view in the batch; a view's rows are its system's, shifted.
+    atom_first = np.cumsum([0] + [system.num_atoms for system in systems])
+    edge_first = np.cumsum([0] + [graph.num_edges for graph in graphs])
+    atoms = np.diff(atom_first)[plan.sample]
+    edges = np.diff(edge_first)[plan.sample]
+    view_atoms = np.concatenate(([0], atoms.cumsum()))
+    view_edges = np.concatenate(([0], edges.cumsum()))
+    atom_input = np.arange(view_atoms[-1]) + (atom_first[plan.sample] - view_atoms[:-1]).repeat(atoms)
+    edge_input = np.arange(view_edges[-1]) + (edge_first[plan.sample] - view_edges[:-1]).repeat(edges)
+    atom_shift = view_atoms[:-1].repeat(edges)
+    rotated = [graphs[index].rel_vectors @ rotation
+               for index, rotation in zip(plan.sample, plan.rotation)]
+    z_index = numbers.take(atom_input) - 1
     prop_rows = None
     if config.property_table is not None:
         prop_rows = config.property_table[z_index]
     return _Batch(
         z_index=z_index,
         prop_rows=prop_rows,
-        edge_features=np.concatenate(edge_parts),
-        src=dm.segments(np.concatenate(src_parts)),
-        dst=dm.segments(np.concatenate(dst_parts)),
-        atom_output=np.concatenate(out_parts),
-        atom_input=np.concatenate(in_parts),
-        view_atoms=np.array(view_atoms),
-        view_edges=np.array(view_edges),
+        edge_features=np.concatenate([np.concatenate(rotated), radial.take(edge_input, axis=0)],
+                                     axis=1),
+        src=dm.segments(np.concatenate([g.src for g in graphs]).take(edge_input) + atom_shift),
+        dst=dm.segments(np.concatenate([g.dst for g in graphs]).take(edge_input) + atom_shift),
+        atom_output=np.arange(len(plan.sample)).repeat(atoms),
+        atom_input=atom_input,
+        view_atoms=view_atoms,
+        view_edges=view_edges,
         num_outputs=len(plan.sample),
-        num_atoms=offset,
-        num_input_atoms=int(firsts[-1]),
+        num_atoms=int(view_atoms[-1]),
+        num_input_atoms=int(atom_first[-1]),
     )
 
 
@@ -478,8 +481,6 @@ def train_step(model: FAENetModel, batch: list, optimizer: dm.AdamW, *,
     A non-finite loss raises NonFiniteLoss before any parameter is touched.
     """
     samples = [s if isinstance(s, TrainSample) else TrainSample(*s) for s in batch]
-    if not samples:
-        raise ValueError("train_step needs at least one sample")
     want_forces = force_coeff != 0.0
     if want_forces and not model.config.predict_forces:
         raise NoForcesRequested("force_coeff is nonzero but the model has no force head")

@@ -17,17 +17,22 @@ of x and y with the z axis pinned upward.
 Cell rows are lattice vectors: a canonical view rotates them with the
 positions and never translates them.
 
+Frames are built a batch at a time: :func:`compute_frames` solves the
+covariances of all its systems in one stacked eigendecomposition, and
+:func:`compute_frame` is its one-system call.
+
 A view is a rotation of its input system. :func:`plan_views` turns a batch
-of systems and an ``fa_mode`` into one rotation per view; distances, and so
-neighbour graphs, are the same in every view. Inference, training and
-gradient checking in :mod:`faframe.faenet` build each system's graph once
-and turn its edge vectors per view; the audit and the generic predictors
-below average over the same views.
+of systems and an ``fa_mode`` into one rotation per view, framing the whole
+batch at once; distances, and so neighbour graphs, are the same in every
+view. Inference, training and gradient checking in :mod:`faframe.faenet`
+build a batch's graphs once and turn their edge vectors per view; the audit
+and the generic predictors below average over the same views.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +44,7 @@ from .geometry import (
     Z_AXIS_2D,
     AtomicSystem,
     EuclideanTransform,
+    check_orthogonal,
     normalize_group,
     random_transform,
 )
@@ -93,54 +99,67 @@ class CanonicalView:
     transform: EuclideanTransform
 
 
-def _canonical_sign(vector: np.ndarray) -> np.ndarray:
-    """Flip a vector so its largest-magnitude entry (first on ties) is >= 0."""
-    index = int(np.argmax(np.abs(vector)))
-    if vector[index] < 0:
-        return -vector
-    return vector
-
-
-def _relative_gap(eigenvalues_desc: np.ndarray) -> float:
-    gaps = -np.diff(eigenvalues_desc)
-    scale = max(float(eigenvalues_desc[0]), DEGENERACY_FLOOR)
-    return float(gaps.min() / scale)
-
-
 def compute_frame(system: AtomicSystem, group: str = E3) -> Frame:
-    """Build the PCA frame of a system for group E3, SE3, or Z_AXIS_2D.
+    """The PCA frame of one system: :func:`compute_frames` of ``[system]``."""
+    return compute_frames([system], group)[0]
 
-    One sign-fixed eigenvector basis is validated as a rigid motion; every
-    element is that basis with some columns negated, which is exact, so the
-    one check covers them all. SE3 and Z_AXIS_2D keep the sign choices that
-    give det +1.
+
+def compute_frames(systems: Sequence[AtomicSystem], group: str = E3) -> list[Frame]:
+    """Build the PCA frame of every system for group E3, SE3, or Z_AXIS_2D.
+
+    Each system's centroid and covariance are its own; one stacked
+    eigendecomposition then serves the whole call. Each eigenvector column is
+    flipped so its largest-magnitude entry (first on ties) is >= 0, and the
+    sign-fixed bases are validated together as rotations. Every element is a
+    basis with some columns negated, which is exact, so that one check covers
+    them all. SE3 and Z_AXIS_2D keep the sign choices that give det +1.
     """
     group = normalize_group(group)
     if group not in FRAME_GROUPS:
         raise ValueError(f"frames are defined for {FRAME_GROUPS}, not {group!r}")
+    if not systems:
+        return []
 
-    positions = system.positions
-    centroid = positions.mean(axis=0)
-    centered = positions - centroid
     planar = group == Z_AXIS_2D
-    if planar:
-        centered = centered[:, :2]
-    values, vectors = np.linalg.eigh(centered.T @ centered)
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
-    eigenvalues = np.append(values, 0.0) if planar else values.copy()
-    if _relative_gap(values) < DEGENERACY_RTOL:
-        return Frame(np.eye(3)[None], centroid, eigenvalues, group, True)
+    centroids, covariances = [], []
+    for system in systems:
+        positions = system.positions
+        centroid = positions.mean(axis=0)
+        centered = positions - centroid
+        if planar:
+            centered = centered[:, :2]
+        centroids.append(centroid)
+        covariances.append(centered.T @ centered)
+    values, vectors = np.linalg.eigh(np.array(covariances))
+    values = values[:, ::-1]
+    vectors = vectors[:, :, ::-1]
+    gap = (-np.diff(values, axis=1)).min(axis=1) / np.maximum(values[:, 0], DEGENERACY_FLOOR)
+    degenerate = gap < DEGENERACY_RTOL
 
-    axes = [_canonical_sign(vectors[:, k]) for k in range(vectors.shape[1])]
+    largest = np.abs(vectors).argmax(axis=1)[:, None, :]
+    vectors = np.where(np.take_along_axis(vectors, largest, axis=1) < 0, -vectors, vectors)
     if planar:
-        axes = [np.append(axis, 0.0) for axis in axes] + [np.array([0.0, 0.0, 1.0])]
-    base = EuclideanTransform(np.column_stack(axes), centroid)
-    signs = _SIGNS_2D if planar else _SIGNS_3D
-    if group != E3:
-        # det(base * s) = det(base) * prod(s)
-        signs = signs[signs.prod(axis=1) * base.det > 0]
-    return Frame(base.rotation * signs[:, None, :], centroid, eigenvalues, group, False)
+        bases = np.zeros((len(systems), 3, 3))
+        bases[:, :2, :2] = vectors
+        bases[:, 2, 2] = 1.0
+    else:
+        bases = vectors
+    dets = np.zeros(len(systems))
+    dets[~degenerate] = check_orthogonal(bases[~degenerate])
+    table = _SIGNS_2D if planar else _SIGNS_3D
+
+    frames = []
+    for k, centroid in enumerate(centroids):
+        eigenvalues = np.append(values[k], 0.0) if planar else values[k].copy()
+        if degenerate[k]:
+            frames.append(Frame(np.eye(3)[None], centroid, eigenvalues, group, True))
+            continue
+        signs = table
+        if group != E3:
+            # det(base * s) = det(base) * prod(s)
+            signs = signs[signs.prod(axis=1) * dets[k] > 0]
+        frames.append(Frame(bases[k] * signs[:, None, :], centroid, eigenvalues, group, False))
+    return frames
 
 
 def _turned(system: AtomicSystem, origin: np.ndarray, rotation: np.ndarray) -> AtomicSystem:
@@ -185,23 +204,21 @@ def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = 
         raise ValueError(f"fa_mode must be one of {FA_MODES}, got {fa_mode!r}")
     if fa_mode in ("stochastic", "data_augment") and rng is None:
         raise ValueError(f"{fa_mode} mode needs an rng")
-    sample, rotation, weight = [], [], []
-    for index, system in enumerate(systems):
-        if fa_mode == "none":
-            chosen = np.eye(3)[None]
-        elif fa_mode == "data_augment":
-            # A motion X @ U.T + t turns vectors by U.T; its translation
-            # does not reach vectors.
-            chosen = random_transform(group, rng).rotation.T[None]
-        else:
-            chosen = compute_frame(system, group).rotations
-            if fa_mode == "stochastic":
-                chosen = chosen[[int(rng.integers(len(chosen)))]]
-        sample.extend([index] * len(chosen))
-        rotation.extend(chosen)
-        weight.extend([1.0 / len(chosen)] * len(chosen))
-    return ViewPlan(np.array(sample, dtype=np.int64), np.array(rotation).reshape(-1, 3, 3),
-                    np.array(weight), len(systems))
+    if fa_mode == "none":
+        stacks = [np.eye(3)[None]] * len(systems)
+    elif fa_mode == "data_augment":
+        # A motion X @ U.T + t turns vectors by U.T; its translation does
+        # not reach vectors.
+        stacks = [random_transform(group, rng).rotation.T[None] for _ in systems]
+    else:
+        stacks = [frame.rotations for frame in compute_frames(systems, group)]
+        if fa_mode == "stochastic":
+            stacks = [chosen[[int(rng.integers(len(chosen)))]] for chosen in stacks]
+    sizes = np.array([len(chosen) for chosen in stacks], dtype=np.int64)
+    # C order, whatever the stacks' layout: products with it round by layout.
+    rotation = np.ascontiguousarray(np.concatenate(stacks)) if stacks else np.empty((0, 3, 3))
+    return ViewPlan(np.arange(len(systems)).repeat(sizes), rotation, (1.0 / sizes).repeat(sizes),
+                    len(systems))
 
 
 def _map_back(output, back: np.ndarray, kind: str):

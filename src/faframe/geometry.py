@@ -9,11 +9,16 @@ Conventions used throughout the package:
   never translates them
 - a radius-graph edge's offset is an integer triple with no fixed range:
   the edge's source image sits at ``positions[src] - offset @ cell``
+
+Radius graphs are built a batch at a time: :func:`build_radius_graphs` runs
+one neighbour search over every aperiodic system of a call and one per
+periodic system, and :func:`build_radius_graph` is its one-system call.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +132,24 @@ class AtomicSystem:
         return any(self.pbc)
 
 
+def check_orthogonal(rotations: np.ndarray) -> np.ndarray:
+    """Determinants of a (3, 3) matrix or a (k, 3, 3) stack of them.
+
+    Raises ValueError, naming the first offender, unless every matrix has
+    ``max |U^T U - I|`` and ``||det U| - 1|`` within ``ORTHONORMAL_TOL``.
+    """
+    gram_error = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - _IDENTITY).max(axis=(-2, -1))
+    det = np.linalg.det(rotations)
+    bad = (gram_error > ORTHONORMAL_TOL) | (np.abs(np.abs(det) - 1.0) > ORTHONORMAL_TOL)
+    if bad.any():
+        first = np.argmax(bad)
+        error, value = np.ravel(gram_error)[first], np.ravel(det)[first]
+        if error > ORTHONORMAL_TOL:
+            raise ValueError(f"rotation is not orthogonal (max |U^T U - I| = {error:.3e})")
+        raise ValueError(f"rotation determinant {value} is not +/-1")
+    return det
+
+
 @dataclass(frozen=True)
 class EuclideanTransform:
     """A rigid motion g = (U, t): orthogonal matrix plus translation.
@@ -145,12 +168,7 @@ class EuclideanTransform:
             raise ValueError(f"rotation must be (3, 3), got {rotation.shape}")
         if translation.shape != (3,):
             raise ValueError(f"translation must be (3,), got {translation.shape}")
-        gram_error = np.abs(rotation.T @ rotation - np.eye(3)).max()
-        if gram_error > ORTHONORMAL_TOL:
-            raise ValueError(f"rotation is not orthogonal (max |U^T U - I| = {gram_error:.3e})")
-        det = np.linalg.det(rotation)
-        if abs(abs(det) - 1.0) > ORTHONORMAL_TOL:
-            raise ValueError(f"rotation determinant {det} is not +/-1")
+        check_orthogonal(rotation)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
 
@@ -274,12 +292,17 @@ def _offset_box(half: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.
     return box, width, strides
 
 
-def build_radius_graph(
-    system: AtomicSystem,
+def build_radius_graph(system: AtomicSystem, cutoff: float, max_neighbors: int) -> RadiusGraph:
+    """The directed radius graph of one system: :func:`build_radius_graphs` of ``[system]``."""
+    return build_radius_graphs([system], cutoff, max_neighbors)[0]
+
+
+def build_radius_graphs(
+    systems: Sequence[AtomicSystem],
     cutoff: float,
     max_neighbors: int,
-) -> RadiusGraph:
-    """Build the directed radius graph of a system.
+) -> list[RadiusGraph]:
+    """Build the directed radius graph of every system, in input order.
 
     Every source image within the cutoff is found, however many cells away:
     the cutoff over each periodic axis's plane spacing (volume / |a x b|)
@@ -292,6 +315,10 @@ def build_radius_graph(
     go with the number of atoms and of these candidate pairs, not with n^2.
     One more table holds a shift per possible offset; it grows with how many
     whole cells apart the stored positions lie.
+
+    All aperiodic systems of a call share one search, each in a slab of bins
+    of its own; a periodic system is searched alone, on its own lattice. A
+    system's graph is bit for bit the same whichever call builds it.
     """
     if not (np.isfinite(cutoff) and cutoff > 0):
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
@@ -299,11 +326,27 @@ def build_radius_graph(
             or not isinstance(max_neighbors, (int, np.integer)) or max_neighbors < 1):
         raise ValueError(f"max_neighbors must be a positive integer, got {max_neighbors!r}")
 
-    positions = system.positions
-    pbc = np.array(system.pbc)
+    graphs: list = [None] * len(systems)
+    aperiodic = [i for i, system in enumerate(systems) if not system.is_periodic]
+    searches = [[i] for i, system in enumerate(systems) if system.is_periodic]
+    if aperiodic:
+        searches.append(aperiodic)
+    for members in searches:
+        found = _search([systems[i] for i in members], cutoff, max_neighbors)
+        for i, graph in zip(members, found):
+            graphs[i] = graph
+    return graphs
+
+
+def _search(systems: list[AtomicSystem], cutoff: float, max_neighbors: int) -> list[RadiusGraph]:
+    """One binned search over a single periodic system or any aperiodic ones."""
+    counts = np.array([system.num_atoms for system in systems])
+    firsts = np.concatenate(([0], counts.cumsum()))
+    pbc = np.array(systems[0].pbc)
     padded = cutoff * (1.0 + BIN_SLACK)
-    if system.is_periodic:
-        cell = system.cell
+    if systems[0].is_periodic:
+        positions = systems[0].positions
+        cell = systems[0].cell
         inverse = np.linalg.inv(cell)
         # Plane spacing over the padded cutoff, per cell axis.
         per_cutoff = 1.0 / (np.sqrt((inverse * inverse).sum(axis=0)) * padded)
@@ -313,17 +356,26 @@ def build_radius_graph(
         bins_per_cell = bins_per_cell.astype(np.int64)
         cells = np.floor(positions @ (inverse * bins_per_cell)).astype(np.int64)
     else:
+        positions = np.concatenate([system.positions for system in systems])
         cell = _IDENTITY  # the one offset, 0, then shifts by exactly +0.0
         bins_per_cell = reach = _UNIT
         steps, width, _ = _offset_box((1, 1, 1))
         cells = np.floor(positions * (1.0 / padded)).astype(np.int64)
 
-    # Lift the lowest bin to `reach`: on an aperiodic axis every step then
-    # lands inside [0, size) and never wraps, so its offset stays 0.
-    low = cells.min(axis=0)
-    span = cells.max(axis=0) - low
-    cells -= low - reach
-    size = np.where(pbc, bins_per_cell, span + width)
+    # Lift each system's lowest bin to `reach`: on an aperiodic axis every
+    # step then lands inside [0, size) and never wraps, so its offset stays 0.
+    # Systems sit side by side along the first axis, each in a slab of its
+    # own, so no step reaches another system's bins. Only bin coordinates
+    # move; positions keep their bits.
+    low = np.minimum.reduceat(cells, firsts[:-1], axis=0)
+    span = np.maximum.reduceat(cells, firsts[:-1], axis=0) - low
+    slabs = np.where(pbc, bins_per_cell, span + width)
+    lift = reach - low
+    lift[1:, 0] += slabs[:-1, 0].cumsum()
+    cells += lift.repeat(counts, axis=0)
+    size = np.array([slabs[:, 0].sum(), slabs[:, 1].max(), slabs[:, 2].max()])
+    span = span[0]  # read on periodic axes only, and then the search holds one system
+
     strides = np.array([size[1] * size[2], size[2], 1])
     img, wrapped = np.divmod(cells, size)  # each atom's whole-cell image and bin
     bin_id = wrapped @ strides
@@ -370,13 +422,23 @@ def build_radius_graph(
     keep = order[np.arange(dst.size) - dst.searchsorted(dst) < max_neighbors]
     src, key = np.divmod(tie.take(keep), rows)
 
-    return RadiusGraph(
-        src=src,
-        dst=dst.take(keep),
-        offsets=offsets.take(key, axis=0),
-        distances=dist.take(keep),
-        rel_vectors=vec.take(hit.take(keep), axis=0),
-        cutoff=float(cutoff),
-        max_neighbors=int(max_neighbors),
-        num_nodes=system.num_atoms,
-    )
+    dst = dst.take(keep)
+    offsets = offsets.take(key, axis=0)
+    distances = dist.take(keep)
+    rel_vectors = vec.take(hit.take(keep), axis=0)
+
+    # Edges come destination by destination, so each system's are one run.
+    bounds = dst.searchsorted(firsts)
+    return [
+        RadiusGraph(
+            src=src[a:b] - first,
+            dst=dst[a:b] - first,
+            offsets=offsets[a:b],
+            distances=distances[a:b],
+            rel_vectors=rel_vectors[a:b],
+            cutoff=float(cutoff),
+            max_neighbors=int(max_neighbors),
+            num_nodes=system.num_atoms,
+        )
+        for system, first, a, b in zip(systems, firsts, bounds[:-1], bounds[1:])
+    ]

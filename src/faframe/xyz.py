@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .elements import number_to_symbol, symbol_to_number
-from .errors import XYZParseError
+from .errors import FaframeError, XYZParseError
 from .geometry import AtomicSystem
 
 _COORD_FORMAT = "{:.12f}"
@@ -119,7 +119,12 @@ def _read_block(lines: list[str], start: int) -> tuple[AtomicSystem, dict[str, s
         except ValueError:
             raise XYZParseError(f"line {atom_lineno}: non-numeric coordinate") from None
 
-    system = AtomicSystem(positions=positions, atomic_numbers=numbers, cell=cell, pbc=pbc)
+    try:
+        system = AtomicSystem(positions=positions, atomic_numbers=numbers, cell=cell, pbc=pbc)
+    except FaframeError:
+        raise
+    except ValueError as error:  # a cell the pbc flags cannot use
+        raise XYZParseError(f"line {lineno + 1}: {error}") from None
     return system, comment, start + 2 + natoms
 
 

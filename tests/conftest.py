@@ -1,9 +1,11 @@
-"""Shared test plumbing: collects acceptance-criterion verdict lines and
-gives child processes the environment that imports the code under test."""
+"""Shared test plumbing: collects acceptance-criterion verdict lines, gives
+child processes the environment that imports the code under test, and draws
+mixed batches of systems for the batched geometry tests."""
 
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ACCEPTANCE_RESULTS: list[str] = []
@@ -32,3 +34,41 @@ def cli_env():
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([root, inherited]) if inherited else root
     return env
+
+
+# A regular octahedron: isotropic covariance, so its PCA frame is degenerate
+# in every group.
+_OCTAHEDRON = np.concatenate([np.eye(3), -np.eye(3)]) * 1.3
+
+
+def _draw_mixed_batch(rng: np.random.Generator) -> list:
+    """1-11 systems in random order: molecules of 1-40 atoms far from the
+    origin, octahedra (degenerate frames), crystals with random pbc whose
+    atoms lie in the cell or up to a cell outside it, and repeats."""
+    from faframe.geometry import AtomicSystem
+
+    systems = []
+    for _ in range(int(rng.integers(1, 12))):
+        kind = int(rng.integers(5))
+        n = int(rng.integers(1, 41))
+        numbers = rng.integers(1, 9, n)
+        if kind == 0 and systems:
+            systems.append(systems[int(rng.integers(len(systems)))])
+        elif kind <= 1:
+            positions = rng.standard_normal((n, 3)) * rng.uniform(0.5, 4.0)
+            systems.append(AtomicSystem(positions + rng.uniform(-50.0, 50.0, 3), numbers))
+        elif kind == 2:
+            systems.append(AtomicSystem(_OCTAHEDRON + rng.uniform(-5.0, 5.0, 3), np.full(6, 6)))
+        else:
+            cell = np.diag(rng.uniform(4.0, 12.0, 3)) + rng.uniform(-1.0, 1.0, (3, 3))
+            frac = rng.uniform(0.0, 1.0, (n, 3)) if kind == 3 else rng.uniform(-1.0, 2.0, (n, 3))
+            pbc = tuple(bool(flag) for flag in rng.integers(0, 2, 3))
+            systems.append(AtomicSystem(frac @ cell, numbers, cell=cell,
+                                        pbc=pbc if any(pbc) else (True, True, True)))
+    return systems
+
+
+@pytest.fixture
+def mixed_batch():
+    """A function drawing one mixed batch of systems from a generator."""
+    return _draw_mixed_batch

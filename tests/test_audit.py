@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from faframe import audit, frames
+from faframe import frames
 from faframe.audit import (
     METHODS,
     SymmetryReport,
@@ -51,15 +51,15 @@ def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
     # The base system is framed for the degeneracy check, its prediction and
     # its canonical views: three times, however many transforms are probed.
     systems = fixed_systems(1, count=2)
+    # Frames are built in batches; every system that enters one counts.
     framed = []
-    real = frames.compute_frame
+    real = frames.compute_frames
 
-    def counting(system, *args, **kwargs):
-        framed.append(system)
-        return real(system, *args, **kwargs)
+    def counting(batch, *args, **kwargs):
+        framed.extend(batch)
+        return real(batch, *args, **kwargs)
 
-    monkeypatch.setattr(frames, "compute_frame", counting)
-    monkeypatch.setattr(audit, "compute_frame", counting)
+    monkeypatch.setattr(frames, "compute_frames", counting)
     model = FAENetModel(FORCE_CONFIG, np.random.default_rng(0))
     report = audit_model(model, systems, fa_mode="full", num_transforms=3,
                          rng=np.random.default_rng(2))

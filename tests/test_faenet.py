@@ -5,7 +5,13 @@ import pytest
 
 from faframe import diffmath as dm
 from faframe import faenet
-from faframe.errors import NoForcesRequested, NonFiniteLoss, UnknownElement
+from faframe.errors import (
+    EmptyBatch,
+    FaframeError,
+    NoForcesRequested,
+    NonFiniteLoss,
+    UnknownElement,
+)
 from faframe.frames import canonicalize, compute_frame, plan_views
 from faframe.elements import MAX_ATOMIC_NUMBER
 from faframe.geometry import (
@@ -137,14 +143,15 @@ def test_full_forward_builds_one_graph_for_eight_views(monkeypatch):
     model = FAENetModel(TINY, rng)
     system = random_system(rng, n=6)
     assert len(plan_views([system], "full").rotation) == 8
+    # Graphs are built in batches; every system that enters one counts.
     built = []
-    real = faenet.build_radius_graph
+    real = faenet.build_radius_graphs
 
-    def counting(graph_system, *args, **kwargs):
-        built.append(graph_system)
-        return real(graph_system, *args, **kwargs)
+    def counting(graph_systems, *args, **kwargs):
+        built.extend(graph_systems)
+        return real(graph_systems, *args, **kwargs)
 
-    monkeypatch.setattr(faenet, "build_radius_graph", counting)
+    monkeypatch.setattr(faenet, "build_radius_graphs", counting)
     forward(model, system, fa_mode="full")
     assert len(built) == 1 and built[0] is system
     # At a one-byte budget every view is a chunk of its own; they share the graph.
@@ -453,6 +460,50 @@ def test_unknown_element_rejected():
     bad = AtomicSystem(np.zeros((2, 3)), np.array([6, 999]))
     with pytest.raises(UnknownElement):
         forward(model, bad, fa_mode="none")
+
+
+def test_batch_of_many_systems_is_their_one_system_batches_joined(mixed_batch):
+    # Each view's rows of a joint batch are byte-equal to the same view of a
+    # batch of its system alone, with atom ids shifted by the view's first row.
+    rng = np.random.default_rng(37)
+    config = FAENetConfig(hidden_channels=8, num_filters=8, num_gaussians=6,
+                          num_interactions=1, cutoff=float(rng.uniform(2.0, 5.0)),
+                          max_neighbors=int(rng.integers(2, 20)))
+    for _ in range(15):
+        systems = mixed_batch(rng)
+        group = (E3, SE3, Z_AXIS_2D)[int(rng.integers(3))]
+        plan = plan_views(systems, "full", group)
+        batch = _make_batch(systems, plan, config)
+        firsts = np.cumsum([0] + [system.num_atoms for system in systems])
+        view = 0
+        for index, system in enumerate(systems):
+            alone = _make_batch([system], plan_views([system], "full", group), config)
+            for own in range(alone.num_outputs):
+                assert plan.sample[view] == index
+                a0, a1 = batch.view_atoms[view:view + 2]
+                e0, e1 = batch.view_edges[view:view + 2]
+                b0, b1 = alone.view_atoms[own:own + 2]
+                f0, f1 = alone.view_edges[own:own + 2]
+                assert batch.edge_features[e0:e1].tobytes() == alone.edge_features[f0:f1].tobytes()
+                assert batch.z_index[a0:a1].tobytes() == alone.z_index[b0:b1].tobytes()
+                for ids, own_ids in ((batch.src.ids, alone.src.ids),
+                                     (batch.dst.ids, alone.dst.ids)):
+                    assert np.array_equal(ids[e0:e1] - a0, own_ids[f0:f1] - b0)
+                assert np.array_equal(batch.atom_input[a0:a1] - firsts[index],
+                                      alone.atom_input[b0:b1])
+                assert (batch.atom_output[a0:a1] == view).all()
+                view += 1
+        assert view == batch.num_outputs == len(plan.sample)
+        assert batch.num_input_atoms == firsts[-1]
+
+
+def test_empty_batch_is_one_named_error():
+    model = FAENetModel(TINY, np.random.default_rng(0))
+    assert issubclass(EmptyBatch, FaframeError) and issubclass(EmptyBatch, ValueError)
+    with pytest.raises(EmptyBatch, match="empty batch"):
+        training_forward(model, [], "full", E3, None, False)
+    with pytest.raises(EmptyBatch, match="empty batch"):
+        train_step(model, [], dm.AdamW(model.parameters()), fa_mode="full")
 
 
 # ------------------------------------------------------------------ training

@@ -16,11 +16,13 @@ from faframe.frames import (
     FA_MODES,
     canonicalize,
     compute_frame,
+    compute_frames,
     full_fa_predict,
     plan_views,
     stochastic_fa_predict,
     uncanonicalize_output,
 )
+from faframe import frames
 from faframe.errors import ShapeMismatch
 
 AXIS_ALIGNED = AtomicSystem(
@@ -272,22 +274,90 @@ def test_element_order_matches_nested_sign_loop(group):
 
 
 def test_compute_frame_validates_one_transform(monkeypatch):
-    built = []
+    # One basis per system is checked as a rotation, in one stacked check;
+    # no EuclideanTransform is built.
+    built, checked = [], []
     real_init = EuclideanTransform.__post_init__
+    real_check = frames.check_orthogonal
 
     def counting(self):
         built.append(self)
         real_init(self)
 
+    def checking(rotations):
+        checked.append(rotations.shape)
+        return real_check(rotations)
+
     monkeypatch.setattr(EuclideanTransform, "__post_init__", counting)
+    monkeypatch.setattr(frames, "check_orthogonal", checking)
     rng = np.random.default_rng(26)
     for group in (E3, SE3, Z_AXIS_2D):
-        built.clear()
+        checked.clear()
         compute_frame(random_system(rng), group)
-        assert len(built) == 1
-    built.clear()
+        assert checked == [(1, 3, 3)]
+    checked.clear()
     compute_frame(AtomicSystem(np.array([[1.0, 2.0, 3.0]]), np.array([6])), E3)
+    assert checked == [(0, 3, 3)]
     assert not built
+
+
+def test_batched_frames_equal_frames_built_one_at_a_time(mixed_batch):
+    rng = np.random.default_rng(34)
+    counted = {True: 0, False: 0}
+    for _ in range(40):
+        systems = mixed_batch(rng)
+        for group in (E3, SE3, Z_AXIS_2D):
+            batched = compute_frames(systems, group)
+            assert len(batched) == len(systems)
+            for system, frame in zip(systems, batched):
+                alone = compute_frame(system, group)
+                for name in ("rotations", "translation", "eigenvalues"):
+                    got, want = getattr(frame, name), getattr(alone, name)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                    assert got.tobytes() == want.tobytes(), name
+                assert (frame.group, frame.degenerate) == (alone.group, alone.degenerate)
+                counted[frame.degenerate] += 1
+    assert counted[True] >= 30 and counted[False] >= 300, counted
+
+
+def test_stacked_linalg_matches_one_matrix_at_a_time():
+    # compute_frames solves a batch's covariances in one stacked eigh and
+    # checks its bases with a stacked det; a frame's bits must not depend on
+    # the batch it is built in. QR is pinned for the same reason.
+    rng = np.random.default_rng(35)
+    points = rng.standard_normal((42, 7, 3)) * rng.uniform(0.1, 5.0, (42, 1, 3))
+    covariances = points.transpose(0, 2, 1) @ points
+    for stack in (covariances, covariances[:, :2, :2]):
+        values, vectors = np.linalg.eigh(stack)
+        for k, matrix in enumerate(stack):
+            one_values, one_vectors = np.linalg.eigh(matrix)
+            assert values[k].tobytes() == one_values.tobytes()
+            assert vectors[k].tobytes() == one_vectors.tobytes()
+    dets = np.linalg.det(points[:, :3])
+    q, r = np.linalg.qr(points[:, :3])
+    for k, matrix in enumerate(points[:, :3]):
+        assert dets[k].tobytes() == np.linalg.det(matrix).tobytes()
+        one_q, one_r = np.linalg.qr(matrix)
+        assert q[k].tobytes() == one_q.tobytes() and r[k].tobytes() == one_r.tobytes()
+
+
+def test_a_basis_that_is_not_orthogonal_is_rejected(monkeypatch):
+    real = np.linalg.eigh
+
+    def scaled(matrices):
+        values, vectors = real(matrices)
+        return values, vectors * 1.001
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
+    rng = np.random.default_rng(36)
+    systems = [random_system(rng) for _ in range(3)]
+    for group in (E3, SE3, Z_AXIS_2D):
+        with pytest.raises(ValueError, match="rotation is not orthogonal"):
+            compute_frames(systems, group)
+
+
+def test_empty_batch_has_no_frames():
+    assert compute_frames([], E3) == []
 
 
 def test_single_atom_degenerate_identity():

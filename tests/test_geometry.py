@@ -17,6 +17,7 @@ from faframe.geometry import (
     RadiusGraph,
     apply_transform,
     build_radius_graph,
+    build_radius_graphs,
     random_transform,
 )
 
@@ -490,6 +491,35 @@ def test_matches_the_dense_reference_bit_for_bit():
         capped += full.num_edges > expected.num_edges
         tied += any(np.any(np.diff(full.distances[full.dst == d]) == 0) for d in range(n))
     assert compared >= 120 and capped >= 20 and tied >= 10, (compared, capped, tied)
+
+
+def test_batched_graphs_equal_graphs_built_one_at_a_time(mixed_batch):
+    # One search over a batch's molecules, each crystal alone: every graph is
+    # byte-equal to its own one-system build, in input order.
+    rng = np.random.default_rng(33)
+    systems_seen = capped = periodic = 0
+    for _ in range(60):
+        systems = mixed_batch(rng)
+        cutoff = float(rng.uniform(1.5, 6.0))
+        max_neighbors = int(rng.integers(1, 30))
+        graphs = build_radius_graphs(systems, cutoff, max_neighbors)
+        assert len(graphs) == len(systems)
+        for system, graph in zip(systems, graphs):
+            alone = build_radius_graph(system, cutoff, max_neighbors)
+            for name in ("src", "dst", "offsets", "distances", "rel_vectors"):
+                got, want = getattr(graph, name), getattr(alone, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+            assert (graph.cutoff, graph.max_neighbors, graph.num_nodes) == (
+                alone.cutoff, alone.max_neighbors, alone.num_nodes)
+            systems_seen += 1
+            capped += int(np.bincount(graph.dst, minlength=1).max(initial=0) == max_neighbors)
+            periodic += system.is_periodic
+    assert systems_seen >= 200 and capped >= 30 and periodic >= 50, (systems_seen, capped, periodic)
+
+
+def test_empty_batch_has_no_graphs():
+    assert build_radius_graphs([], 4.0, 8) == []
 
 
 def test_graph_invariant_under_isometry_aperiodic():

@@ -91,6 +91,18 @@ def test_malformed_lattice(tmp_path):
         read_xyz(path)
 
 
+@pytest.mark.parametrize("comment, reason", [
+    ('pbc="T T T"', "no cell given"),
+    ('Lattice="1 0 0 2 0 0 0 0 1" pbc="T F F"', "singular"),
+])
+def test_unusable_cell_names_its_comment_line(tmp_path, comment, reason):
+    # The second block is the bad one; its comment is line 5.
+    path = tmp_path / "bad.xyz"
+    path.write_text(f"1\n\nC 0 0 0\n1\n{comment}\nC 0 0 0\n")
+    with pytest.raises(XYZParseError, match=f"^line 5: .*{reason}"):
+        read_xyz_blocks(path)
+
+
 def test_format_emits_lattice_and_pbc():
     system = AtomicSystem(
         np.zeros((1, 3)), np.array([6]),
