@@ -4,8 +4,7 @@ The package is organized as:
 
 - :mod:`faframe.geometry` — atomic systems, rigid motions, periodic radius
   graphs
-- :mod:`faframe.frames` — PCA frames, canonicalization, the view plan,
-  frame-averaged prediction
+- :mod:`faframe.frames` — PCA frames, canonicalization, the view plan
 - :mod:`faframe.diffmath` — reverse-mode autodiff over float64 arrays, AdamW
 - :mod:`faframe.faenet` — the GNN backbone, training, gradient checking
 - :mod:`faframe.audit` — numeric invariance/equivariance reports
@@ -33,9 +32,6 @@ from .frames import (
     canonicalize,
     compute_frame,
     compute_frames,
-    full_fa_predict,
-    stochastic_fa_predict,
-    uncanonicalize_output,
 )
 from .faenet import FAENetConfig, FAENetModel, Prediction, forward, train_step
 from .audit import SymmetryReport, audit_model, compare_methods

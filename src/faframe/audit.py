@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoForcesRequested
 from .faenet import FAENetConfig, FAENetModel, forward
-from .frames import canonicalize, compute_frame
+from .frames import Frame, canonicalize, compute_frame, compute_frames
 from .geometry import (
     E3,
     SE3,
@@ -90,11 +90,15 @@ def _random_reflection(rng: np.random.Generator) -> EuclideanTransform:
     return EuclideanTransform(rotation, transform.translation)
 
 
-def _representation(system: AtomicSystem, fa_mode: str, group: str):
+def _representation(system: AtomicSystem, fa_mode: str, group: str,
+                    frame: Frame | None = None):
     """What the model is shown of a system: positions plus cell rows, if any,
-    of each canonical view, or of the raw input when nothing is canonicalized."""
+    of each canonical view, or of the raw input when nothing is canonicalized.
+    ``frame``, if given, is the system's frame for ``group``."""
     if fa_mode in ("full", "stochastic"):
-        views = [canonicalize(system, el).system for el in compute_frame(system, group).elements]
+        if frame is None:
+            frame = compute_frame(system, group)
+        views = [canonicalize(system, el).system for el in frame.elements]
     else:
         views = [system]
     return [
@@ -135,6 +139,8 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
     head.
     """
     group = normalize_group(group)
+    if num_transforms < 1:
+        raise ValueError(f"num_transforms must be at least 1, got {num_transforms}")
     if rng is None:
         rng = np.random.default_rng()
     if force_metrics is None:
@@ -161,13 +167,13 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
     degenerate_count = 0
     audited = 0
 
-    for index, system in enumerate(systems):
-        if compute_frame(system, frame_group).degenerate:
+    for index, (system, frame) in enumerate(zip(systems, compute_frames(systems, frame_group))):
+        if frame.degenerate:
             degenerate_count += 1
             continue
         audited += 1
         base = forward(model, system, fa_mode=fa_mode, group=group, rng=rng)
-        base_representation = _representation(system, fa_mode, group) if pos else None
+        base_representation = _representation(system, fa_mode, group, frame) if pos else None
         system_pct: list[float] = []
         for kind, panel in (("rotation", rotations), ("reflection", reflections)):
             for transform in panel:

@@ -23,7 +23,7 @@ from .audit import audit_model, format_report_table
 from .errors import FaframeError
 from .expressivity import run_benchmark
 from .faenet import FAENetConfig, FAENetModel, run_gradient_check
-from .frames import FA_MODES, canonicalize, compute_frame
+from .frames import FA_MODES, canonicalize, compute_frames
 from .geometry import E3, normalize_group
 from .xyz import format_xyz, read_xyz_blocks
 
@@ -79,14 +79,13 @@ def _read_systems_dir(directory: str):
 
 def _cmd_canonicalize(args) -> int:
     group = normalize_group(args.group)
-    blocks = read_xyz_blocks(args.input)
+    systems = [system for system, _ in read_xyz_blocks(args.input)]
     rng = None
     if args.sample is not None:
         rng = np.random.default_rng(args.sample)
     pieces = []
     saw_degenerate = False
-    for index, (system, _) in enumerate(blocks):
-        frame = compute_frame(system, group)
+    for index, (system, frame) in enumerate(zip(systems, compute_frames(systems, group))):
         if frame.degenerate:
             saw_degenerate = True
             print(

@@ -25,7 +25,7 @@ class CutoffExceedsImageRange(FaframeError, ValueError):
     """A cutoff that needed periodic images beyond offset +/-1.
 
     The radius graph now reaches every image its cutoff needs and no longer
-    raises this; it stays importable for code that catches it.
+    raises this; it stays importable because the benchmark harness imports it.
     """
 
 

@@ -295,6 +295,10 @@ def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
     sign of the predicted energy.
     """
     group = normalize_group(group)
+    if num_seeds < 1:
+        raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
+    if test_transforms < 1:
+        raise ValueError(f"test_transforms must be at least 1, got {test_transforms}")
     instance = _make_instance(family, parameter, angle)
     if config is None:
         config = default_benchmark_config(family, num_layers)

@@ -1,4 +1,4 @@
-"""PCA frames, canonicalization, and frame-averaged prediction.
+"""PCA frames, canonicalization, and the view plan.
 
 A frame of a system is a small set of rigid motions built from the
 eigendecomposition of the position covariance. All elements share the
@@ -26,7 +26,10 @@ of systems and an ``fa_mode`` into one rotation per view, framing the whole
 batch at once; distances, and so neighbour graphs, are the same in every
 view. Inference, training and gradient checking in :mod:`faframe.faenet`
 build a batch's graphs once and turn their edge vectors per view; the audit
-and the generic predictors below average over the same views.
+predicts through the same path.
+
+:func:`compute_frame` and :func:`canonicalize`, the one-system calls, stay
+public because the benchmark harness imports them by name.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
 from .geometry import (
     E3,
     SE3,
@@ -219,75 +221,3 @@ def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = 
     rotation = np.ascontiguousarray(np.concatenate(stacks)) if stacks else np.empty((0, 3, 3))
     return ViewPlan(np.arange(len(systems)).repeat(sizes), rotation, (1.0 / sizes).repeat(sizes),
                     len(systems))
-
-
-def _map_back(output, back: np.ndarray, kind: str):
-    """Map one output through the representation named by ``kind``."""
-    if kind == "invariant":
-        return output
-    if kind != "equivariant":
-        raise ValueError(f"kind must be 'invariant' or 'equivariant', got {kind!r}")
-    array = np.asarray(output, dtype=np.float64)
-    if array.ndim == 0 or array.shape[-1] != 3:
-        raise ShapeMismatch(
-            f"equivariant outputs must be 3-vectors per row, got shape {array.shape}"
-        )
-    return array @ back
-
-
-def uncanonicalize_output(output, element: EuclideanTransform, kind: str):
-    """Map a model output from canonical axes back to the input pose.
-
-    ``kind="invariant"`` returns the output untouched; ``kind="equivariant"``
-    right-multiplies per-atom 3-vectors by U^T.
-    """
-    return _map_back(output, element.rotation.T, kind)
-
-
-def _map_output(output, back: np.ndarray, kind: str):
-    """Apply the output representation; (energy, forces) pairs are split."""
-    if isinstance(output, tuple):
-        if len(output) != 2:
-            raise ShapeMismatch(f"expected (energy, forces) pair, got {len(output)} items")
-        energy, forces = output
-        if forces is None:
-            return (energy, None)
-        return (energy, _map_back(forces, back, "equivariant"))
-    return _map_back(output, back, kind)
-
-
-def _average(model, system: AtomicSystem, plan: ViewPlan, kind: str):
-    """Evaluate ``model`` on every canonical view of a one-system plan and average."""
-    centroid = system.positions.mean(axis=0)
-    outputs = [_map_output(model(_turned(system, centroid, rotation)), rotation.T, kind)
-               for rotation in plan.rotation]
-    if isinstance(outputs[0], tuple):
-        energies, forces = zip(*outputs)
-        return (float(np.mean(energies)), None if forces[0] is None else np.mean(forces, axis=0))
-    if np.ndim(outputs[0]) == 0:
-        return float(np.mean(outputs))
-    return np.mean(outputs, axis=0)
-
-
-def full_fa_predict(model, system: AtomicSystem, group: str = E3, kind: str = "invariant"):
-    """Average ``model`` over every canonical view of the system.
-
-    ``model`` maps an AtomicSystem to a scalar, an array, or an
-    (energy, forces) pair. Scalars and arrays are mapped back through the
-    representation named by ``kind``; pairs always treat the energy as
-    invariant and the forces as equivariant.
-    """
-    return _average(model, system, plan_views([system], "full", group), kind)
-
-
-def stochastic_fa_predict(
-    model,
-    system: AtomicSystem,
-    group: str = E3,
-    kind: str = "invariant",
-    rng: np.random.Generator | None = None,
-):
-    """Evaluate ``model`` on one uniformly sampled canonical view."""
-    if rng is None:
-        rng = np.random.default_rng()
-    return _average(model, system, plan_views([system], "stochastic", group, rng), kind)

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 Radius graphs are built a batch at a time: :func:`build_radius_graphs` runs
 one neighbour search over every aperiodic system of a call and one per
-periodic system, and :func:`build_radius_graph` is its one-system call.
+periodic system, and :func:`build_radius_graph` is its one-system call,
+kept public because the benchmark harness imports it by name.
 """
 
 from __future__ import annotations
@@ -185,12 +186,6 @@ class EuclideanTransform:
         return EuclideanTransform(
             rotation=self.rotation @ other.rotation,
             translation=other.translation @ self.rotation.T + self.translation,
-        )
-
-    def inverse(self) -> "EuclideanTransform":
-        return EuclideanTransform(
-            rotation=self.rotation.T,
-            translation=-(self.translation @ self.rotation),
         )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from faframe import frames
+from faframe import audit, frames
 from faframe.audit import (
     METHODS,
     SymmetryReport,
@@ -48,8 +48,9 @@ def fixed_systems(seed, count=4):
 
 
 def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
-    # The base system is framed for the degeneracy check, its prediction and
-    # its canonical views: three times, however many transforms are probed.
+    # The base systems are framed once as a batch, for the degeneracy check
+    # and their canonical views, and once more by their prediction: twice,
+    # however many transforms are probed.
     systems = fixed_systems(1, count=2)
     # Frames are built in batches; every system that enters one counts.
     framed = []
@@ -60,14 +61,23 @@ def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
         return real(batch, *args, **kwargs)
 
     monkeypatch.setattr(frames, "compute_frames", counting)
+    monkeypatch.setattr(audit, "compute_frames", counting)
     model = FAENetModel(FORCE_CONFIG, np.random.default_rng(0))
     report = audit_model(model, systems, fa_mode="full", num_transforms=3,
                          rng=np.random.default_rng(2))
     assert report.pos == 1
     for system in systems:
-        assert sum(s is system for s in framed) == 3
+        assert sum(s is system for s in framed) == 2
     # each of the 2 x 3 moved copies: its canonical views and its prediction
-    assert len(framed) == len(systems) * (3 + 2 * 3 * 2)
+    assert len(framed) == len(systems) * (2 + 2 * 3 * 2)
+
+
+@pytest.mark.parametrize("num_transforms", [0, -3])
+def test_audit_needs_at_least_one_transform(num_transforms):
+    model = FAENetModel(CONFIG, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="num_transforms must be at least 1"):
+        audit_model(model, fixed_systems(1, count=1), num_transforms=num_transforms,
+                    rng=np.random.default_rng(2))
 
 
 def test_full_mode_is_invariant_to_machine_precision():

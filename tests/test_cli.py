@@ -210,6 +210,19 @@ def test_audit_degenerate_systems_exit_code(tmp_path, capsys):
     assert "degenerate" in captured.err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_audit_rejects_fewer_than_one_transform(tmp_path, capsys, count):
+    systems_dir = tmp_path / "systems"
+    systems_dir.mkdir()
+    write_systems(systems_dir / "batch.xyz", seed=7, count=1)
+    config = write_config(tmp_path / "config.json")
+    code = main(["audit", str(systems_dir), "--config", config, "--transforms", count])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert "num_transforms must be at least 1" in captured.err
+
+
 def test_audit_rejects_unknown_config_keys(tmp_path, capsys):
     systems_dir = tmp_path / "systems"
     systems_dir.mkdir()
@@ -267,6 +280,14 @@ def test_bench_rejects_degenerate_ring(capsys):
     code = main(["bench", "rotsym", "--L", "1", "--seeds", "1", "--epochs", "0"])
     assert code == EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+def test_bench_rejects_fewer_than_one_seed(capsys):
+    code = main(["bench", "kchains", "--seeds", "0", "--epochs", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert "num_seeds must be at least 1" in captured.err
 
 
 def test_bench_deterministic_json(tmp_path, capsys):

@@ -217,6 +217,17 @@ def test_benchmark_rejects_cross_family_angle():
         run_benchmark("spirals", 4, num_seeds=1, epochs=0)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"num_seeds": 0}, "num_seeds"),
+    ({"num_seeds": -1}, "num_seeds"),
+    ({"test_transforms": 0}, "test_transforms"),
+    ({"test_transforms": -2}, "test_transforms"),
+])
+def test_benchmark_rejects_empty_runs(counts, message):
+    with pytest.raises(ValueError, match=f"{message} must be at least 1"):
+        run_benchmark("kchains", 4, epochs=0, **{"num_seeds": 1, **counts})
+
+
 def test_short_training_separates_the_classes():
     # tiny smoke run; the acceptance suite exercises the full schedule
     result = run_benchmark(

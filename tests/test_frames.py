@@ -1,4 +1,4 @@
-"""PCA frames: construction, canonicalization, and frame-averaged prediction."""
+"""PCA frames: construction, canonicalization, and the view plan."""
 
 import numpy as np
 import pytest
@@ -17,13 +17,9 @@ from faframe.frames import (
     canonicalize,
     compute_frame,
     compute_frames,
-    full_fa_predict,
     plan_views,
-    stochastic_fa_predict,
-    uncanonicalize_output,
 )
 from faframe import frames
-from faframe.errors import ShapeMismatch
 
 AXIS_ALIGNED = AtomicSystem(
     np.array([
@@ -503,125 +499,3 @@ def test_plan_rejects_unknown_mode_and_missing_rng():
     for fa_mode in ("stochastic", "data_augment"):
         with pytest.raises(ValueError, match="needs an rng"):
             plan_views([system], fa_mode)
-
-
-# ------------------------------------------------------------ output mapping
-
-
-def test_uncanonicalize_invariant_passthrough():
-    el = compute_frame(AXIS_ALIGNED, E3).elements[3]
-    assert uncanonicalize_output(1.5, el, "invariant") == 1.5
-
-
-def test_uncanonicalize_equivariant_right_multiplies():
-    theta = np.pi / 2
-    rot = np.array([
-        [np.cos(theta), -np.sin(theta), 0],
-        [np.sin(theta), np.cos(theta), 0],
-        [0, 0, 1.0],
-    ])
-    from faframe.geometry import EuclideanTransform
-    el = EuclideanTransform(rot, np.zeros(3))
-    out = uncanonicalize_output(np.array([[1.0, 0.0, 0.0]]), el, "equivariant")
-    np.testing.assert_allclose(out, np.array([[1.0, 0.0, 0.0]]) @ rot.T, atol=1e-12)
-
-
-def test_uncanonicalize_rejects_non_vectors():
-    el = compute_frame(AXIS_ALIGNED, E3).elements[0]
-    with pytest.raises(ShapeMismatch):
-        uncanonicalize_output(np.zeros((2, 4)), el, "equivariant")
-
-
-# ----------------------------------------------------------- frame averaging
-
-
-def test_full_fa_constant_model():
-    def model(view):
-        return 7.25
-
-    rng = np.random.default_rng(11)
-    system = random_system(rng)
-    assert full_fa_predict(model, system) == pytest.approx(7.25)
-
-
-def test_full_fa_first_coordinate_cancels():
-    # +u1 and -u1 views cancel pairwise, so the average vanishes
-    def model(view):
-        return float(view.positions[:, 0].sum())
-
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        system = random_system(rng)
-        assert full_fa_predict(model, system) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_full_fa_invariance_toy_model():
-    # deliberately symmetry-breaking model becomes exactly invariant
-    def model(view):
-        pos = view.positions
-        return float(np.sin(pos[:, 0]).sum() + (pos[:, 1] ** 3).sum())
-
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        system = random_system(rng)
-        g = random_transform(E3, rng)
-        a = full_fa_predict(model, system)
-        b = full_fa_predict(model, apply_transform(system, g))
-        assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
-
-
-def test_full_fa_pair_output_force_equivariance():
-    def model(view):
-        pos = view.positions
-        energy = float((pos ** 2).sum())
-        forces = np.cos(pos) * pos[:, :1]
-        return energy, forces
-
-    rng = np.random.default_rng(14)
-    system = random_system(rng, n=5)
-    g = random_transform(E3, rng)
-    e1, f1 = full_fa_predict(model, system)
-    e2, f2 = full_fa_predict(model, apply_transform(system, g))
-    assert e2 == pytest.approx(e1, rel=1e-9)
-    np.testing.assert_allclose(f2, f1 @ g.rotation.T, atol=1e-9)
-
-
-def test_stochastic_constant_model():
-    def model(view):
-        return -3.0
-
-    rng = np.random.default_rng(15)
-    system = random_system(rng)
-    for _ in range(5):
-        assert stochastic_fa_predict(model, system, rng=rng) == pytest.approx(-3.0)
-
-
-def test_stochastic_se3_samples_proper_rotations():
-    seen_elements = []
-
-    def model(view):
-        return 0.0
-
-    rng = np.random.default_rng(16)
-    system = random_system(rng)
-    frame = compute_frame(system, SE3)
-    # sample many times and make sure each pick is one of the 4 SE3 elements
-    for _ in range(40):
-        stochastic_fa_predict(model, system, group=SE3, rng=rng)
-    for el in frame.elements:
-        assert np.linalg.det(el.rotation) > 0
-
-
-def test_stochastic_mean_matches_full_within_3_se():
-    def model(view):
-        pos = view.positions
-        return float(np.tanh(pos[:, 0]).sum() - 0.3 * (pos[:, 2] ** 2).sum())
-
-    rng = np.random.default_rng(17)
-    system = random_system(rng, n=6)
-    exact = full_fa_predict(model, system)
-    draws = np.array([
-        stochastic_fa_predict(model, system, rng=rng) for _ in range(10_000)
-    ])
-    se = draws.std(ddof=1) / np.sqrt(len(draws))
-    assert abs(draws.mean() - exact) <= 3 * se

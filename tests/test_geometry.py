@@ -247,15 +247,6 @@ def test_compose_on_systems():
     np.testing.assert_allclose(twice.cell, once.cell, atol=1e-12)
 
 
-def test_inverse_roundtrip():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        g = random_transform(E3, rng)
-        points = rng.standard_normal((4, 3))
-        back = g.inverse().apply_points(g.apply_points(points))
-        np.testing.assert_allclose(back, points, atol=1e-12)
-
-
 def test_orthogonality_enforced():
     with pytest.raises(ValueError):
         EuclideanTransform(np.eye(3) * 2.0, np.zeros(3))
