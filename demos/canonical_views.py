@@ -12,7 +12,7 @@ from faframe import (
     E3,
     AtomicSystem,
     apply_transform,
-    canonicalize,
+    canonical_views,
     compute_frame,
     random_transform,
 )
@@ -20,7 +20,8 @@ from faframe import (
 
 def views_of(system):
     frame = compute_frame(system, E3)
-    return [canonicalize(system, el).system.positions for el in frame.elements]
+    positions, _ = canonical_views(system, frame.translation, frame.rotations)
+    return list(positions)
 
 
 def main():

@@ -29,6 +29,7 @@ from .geometry import (
 from .frames import (
     CanonicalView,
     Frame,
+    canonical_views,
     canonicalize,
     compute_frame,
     compute_frames,

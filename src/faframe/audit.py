@@ -3,11 +3,14 @@
 For each system the model predicts the original and a set of transformed
 copies; energy discrepancies are reported in meV and force discrepancies in
 meV/angstrom. Rotation metrics sample det +1 rotations, reflection metrics
-sample det -1 rigid motions. The ``pos`` flag records whether the
-canonicalization machinery mapped every transformed copy to the same
-representation: 1 means the canonical-view multisets coincide for all
-sampled transforms. Systems whose frames are degenerate are counted and
-left out of every metric.
+sample det -1 rigid motions; one panel of both serves every system. The
+``pos`` flag records whether the canonicalization machinery mapped every
+transformed copy to the same representation: 1 means the canonical-view
+multisets coincide for all sampled transforms. A system's transformed
+copies are framed together in one :func:`~faframe.frames.compute_frames`
+call, and each copy's stack of canonical views is compared with the
+system's own. Systems whose frames are degenerate are counted and left out
+of every metric; an empty list of systems is an error.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoForcesRequested
+from .errors import EmptyBatch, NoForcesRequested
 from .faenet import FAENetConfig, FAENetModel, forward
-from .frames import Frame, canonicalize, compute_frame, compute_frames
+from .frames import Frame, canonical_views, compute_frames
 from .geometry import (
     E3,
     SE3,
@@ -90,37 +93,30 @@ def _random_reflection(rng: np.random.Generator) -> EuclideanTransform:
     return EuclideanTransform(rotation, transform.translation)
 
 
-def _representation(system: AtomicSystem, fa_mode: str, group: str,
-                    frame: Frame | None = None):
-    """What the model is shown of a system: positions plus cell rows, if any,
-    of each canonical view, or of the raw input when nothing is canonicalized.
-    ``frame``, if given, is the system's frame for ``group``."""
-    if fa_mode in ("full", "stochastic"):
-        if frame is None:
-            frame = compute_frame(system, group)
-        views = [canonicalize(system, el).system for el in frame.elements]
+def _representation(system: AtomicSystem, frame: Frame | None) -> np.ndarray:
+    """What the model is shown of a system: a ``(views, rows, 3)`` stack of
+    positions plus cell rows, if any, of each canonical view of ``frame``, or
+    of the raw input when ``frame`` is None (nothing is canonicalized)."""
+    if frame is None:
+        positions = system.positions[None]
+        cells = None if system.cell is None else system.cell[None]
     else:
-        views = [system]
-    return [
-        view.positions if view.cell is None
-        else np.concatenate([view.positions, view.cell], axis=0)
-        for view in views
-    ]
+        positions, cells = canonical_views(system, frame.translation, frame.rotations)
+    return positions if cells is None else np.concatenate([positions, cells], axis=1)
 
 
-def _multisets_match(a, b, tol=POS_TOLERANCE) -> bool:
-    if len(a) != len(b):
+def _multisets_match(a: np.ndarray, b: np.ndarray, tol=POS_TOLERANCE) -> bool:
+    """Whether every view of ``a`` matches a distinct view of ``b`` within
+    ``tol``, pairing each with the first unused match."""
+    if a.shape != b.shape:
         return False
-    unused = list(range(len(b)))
-    for block in a:
-        found = None
-        for j in unused:
-            if block.shape == b[j].shape and np.abs(block - b[j]).max() <= tol:
-                found = j
-                break
-        if found is None:
+    close = np.abs(a[:, None] - b[None]).max(axis=(2, 3)) <= tol
+    unused = np.ones(len(b), dtype=bool)
+    for row in close:
+        found = np.flatnonzero(row & unused)
+        if not len(found):
             return False
-        unused.remove(found)
+        unused[found[0]] = False
     return True
 
 
@@ -139,6 +135,8 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
     head.
     """
     group = normalize_group(group)
+    if not systems:
+        raise EmptyBatch("empty batch: at least one system is needed")
     if num_transforms < 1:
         raise ValueError(f"num_transforms must be at least 1, got {num_transforms}")
     if rng is None:
@@ -150,65 +148,66 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
     if targets is not None and len(targets) != len(systems):
         raise ValueError(f"{len(targets)} targets for {len(systems)} systems")
 
-    frame_group = group if fa_mode in ("full", "stochastic") else E3
-    # One shared transform panel: every system is probed with the same
-    # rotations and reflections, so the means do not depend on system order.
-    rotations = [random_transform(SO3, rng) for _ in range(num_transforms)]
-    reflections = [_random_reflection(rng) for _ in range(num_transforms)]
-    assert all(t.det > 0 for t in rotations)
-    assert all(t.det < 0 for t in reflections)
+    canonical = fa_mode in ("full", "stochastic")
+    # One shared transform panel, rotations then reflections: every system
+    # is probed with the same motions, so the means do not depend on system
+    # order.
+    panel = [random_transform(SO3, rng) for _ in range(num_transforms)]
+    panel += [_random_reflection(rng) for _ in range(num_transforms)]
+    assert all(t.det > 0 for t in panel[:num_transforms])
+    assert all(t.det < 0 for t in panel[num_transforms:])
 
-    rot_diffs: list[float] = []
-    refl_diffs: list[float] = []
-    f_rot: list[float] = []
-    f_refl: list[float] = []
+    # Per probe, in eV: |energy shift| and the max-norm force residual.
+    shifts: list[float] = []
+    residuals: list[float] = []
     pct: list[float] = []
     pos = 1
     degenerate_count = 0
-    audited = 0
 
-    for index, (system, frame) in enumerate(zip(systems, compute_frames(systems, frame_group))):
+    for index, (system, frame) in enumerate(
+            zip(systems, compute_frames(systems, group if canonical else E3))):
         if frame.degenerate:
             degenerate_count += 1
             continue
-        audited += 1
         base = forward(model, system, fa_mode=fa_mode, group=group, rng=rng)
-        base_representation = _representation(system, fa_mode, group, frame) if pos else None
-        system_pct: list[float] = []
-        for kind, panel in (("rotation", rotations), ("reflection", reflections)):
-            for transform in panel:
-                moved = apply_transform(system, transform)
-                if pos and not _multisets_match(base_representation,
-                                                _representation(moved, fa_mode, group)):
-                    pos = 0
-                prediction = forward(model, moved, fa_mode=fa_mode, group=group, rng=rng)
-                gap = abs(prediction.energy - base.energy) * EV_TO_MEV
-                if kind == "rotation":
-                    rot_diffs.append(gap)
-                    if targets is not None and abs(targets[index]) > 1e-12:
-                        system_pct.append(
-                            100.0 * abs(prediction.energy - base.energy) / abs(targets[index])
-                        )
-                else:
-                    refl_diffs.append(gap)
-                if force_metrics:
-                    expected = base.forces @ transform.rotation.T
-                    residual = np.abs(prediction.forces - expected).max() * EV_TO_MEV
-                    (f_rot if kind == "rotation" else f_refl).append(residual)
-        if system_pct:
-            pct.append(float(np.mean(system_pct)))
+        moved = [apply_transform(system, transform) for transform in panel]
+        if pos:
+            # The representations draw nothing from rng, so checking them
+            # ahead of the predictions leaves the rng stream unchanged.
+            probe_frames = compute_frames(moved, group) if canonical else [None] * len(moved)
+            reference = _representation(system, frame if canonical else None)
+            pos = int(all(_multisets_match(reference, _representation(copy, copy_frame))
+                          for copy, copy_frame in zip(moved, probe_frames)))
+        for transform, copy in zip(panel, moved):
+            prediction = forward(model, copy, fa_mode=fa_mode, group=group, rng=rng)
+            shifts.append(abs(prediction.energy - base.energy))
+            if force_metrics:
+                expected = base.forces @ transform.rotation.T
+                residuals.append(np.abs(prediction.forces - expected).max())
+        if targets is not None and abs(targets[index]) > 1e-12:
+            # this system's rotation probes
+            rotated = np.array(shifts[-2 * num_transforms:-num_transforms])
+            pct.append(float(np.mean(100.0 * rotated / abs(targets[index]))))
 
-    def _mean(values):
-        return float(np.mean(values)) if values else 0.0
+    def _means(values):
+        """Mean over rotations and over reflections, in meV (0.0 when no
+        system was audited)."""
+        values = np.reshape(values, (-1, 2, num_transforms)) * EV_TO_MEV
+        # ravel copies each kind into probe order, so the sums round as
+        # they would over one flat list.
+        return [float(np.mean(values[:, kind].ravel())) if len(values) else 0.0
+                for kind in (0, 1)]
 
+    rot_i, refl_i = _means(shifts)
+    f_rot_e, f_refl_e = _means(residuals) if force_metrics else (None, None)
     return SymmetryReport(
         pos=pos,
-        rot_i=_mean(rot_diffs),
-        refl_i=_mean(refl_diffs),
+        rot_i=rot_i,
+        refl_i=refl_i,
         pct_diff=float(np.mean(pct)) if pct else None,
-        f_rot_e=_mean(f_rot) if force_metrics else None,
-        f_refl_e=_mean(f_refl) if force_metrics else None,
-        num_systems=audited,
+        f_rot_e=f_rot_e,
+        f_refl_e=f_refl_e,
+        num_systems=len(systems) - degenerate_count,
         num_transforms=num_transforms,
         degenerate_count=degenerate_count,
         fa_mode=fa_mode,

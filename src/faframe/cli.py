@@ -23,8 +23,8 @@ from .audit import audit_model, format_report_table
 from .errors import FaframeError
 from .expressivity import run_benchmark
 from .faenet import FAENetConfig, FAENetModel, run_gradient_check
-from .frames import FA_MODES, canonicalize, compute_frames
-from .geometry import E3, normalize_group
+from .frames import FA_MODES, canonical_views, compute_frames
+from .geometry import E3, AtomicSystem, normalize_group
 from .xyz import format_xyz, read_xyz_blocks
 
 EXIT_OK = 0
@@ -93,11 +93,13 @@ def _cmd_canonicalize(args) -> int:
                 f"falling back to the identity rotation at the centroid",
                 file=sys.stderr,
             )
-        elements = list(frame.elements)
+        rotations = frame.rotations
         if rng is not None:
-            elements = [elements[int(rng.integers(len(elements)))]]
-        for position, element in enumerate(elements):
-            view = canonicalize(system, element).system
+            rotations = rotations[[int(rng.integers(len(rotations)))]]
+        positions, cells = canonical_views(system, frame.translation, rotations)
+        for position, view_positions in enumerate(positions):
+            view = AtomicSystem(view_positions, system.atomic_numbers,
+                                None if cells is None else cells[position], system.pbc)
             extra = {"system_index": index, "frame_index": position, "group": group}
             if frame.degenerate:
                 extra["degenerate"] = "T"

@@ -299,6 +299,10 @@ def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
         raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
     if test_transforms < 1:
         raise ValueError(f"test_transforms must be at least 1, got {test_transforms}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be at least 0, got {epochs}")
+    if train_transforms < 0:
+        raise ValueError(f"train_transforms must be at least 0, got {train_transforms}")
     instance = _make_instance(family, parameter, angle)
     if config is None:
         config = default_benchmark_config(family, num_layers)

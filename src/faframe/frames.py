@@ -19,7 +19,9 @@ positions and never translates them.
 
 Frames are built a batch at a time: :func:`compute_frames` solves the
 covariances of all its systems in one stacked eigendecomposition, and
-:func:`compute_frame` is its one-system call.
+:func:`compute_frame` is its one-system call. Likewise
+:func:`canonical_views` turns a system by a whole stack of frame rotations
+at once, and :func:`canonicalize` is its one-element call.
 
 A view is a rotation of its input system. :func:`plan_views` turns a batch
 of systems and an ``fa_mode`` into one rotation per view, framing the whole
@@ -28,8 +30,10 @@ view. Inference, training and gradient checking in :mod:`faframe.faenet`
 build a batch's graphs once and turn their edge vectors per view; the audit
 predicts through the same path.
 
-:func:`compute_frame` and :func:`canonicalize`, the one-system calls, stay
-public because the benchmark harness imports them by name.
+:func:`compute_frame`, :func:`canonicalize`, :class:`CanonicalView` and
+:attr:`Frame.elements` (each frame element as a validated
+:class:`EuclideanTransform`) stay public because the benchmark harness
+imports them by name; the package itself reads frames as rotation stacks.
 """
 
 from __future__ import annotations
@@ -164,16 +168,25 @@ def compute_frames(systems: Sequence[AtomicSystem], group: str = E3) -> list[Fra
     return frames
 
 
-def _turned(system: AtomicSystem, origin: np.ndarray, rotation: np.ndarray) -> AtomicSystem:
-    """Positions ``(X - origin) @ rotation``; cell rows ``cell @ rotation``."""
-    cell = None if system.cell is None else system.cell @ rotation
-    return AtomicSystem((system.positions - origin) @ rotation, system.atomic_numbers, cell,
-                        system.pbc)
+def canonical_views(system: AtomicSystem, origin: np.ndarray,
+                    rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The system seen in the axes of each rotation of a ``(k, 3, 3)`` stack.
+
+    Returns the ``(k, n, 3)`` view positions ``(X - origin) @ U`` and the
+    ``(k, 3, 3)`` view cells ``cell @ U``, or ``None`` for a system without a
+    cell: lattice vectors rotate and never translate.
+    """
+    cells = None if system.cell is None else system.cell @ rotations
+    return (system.positions - origin) @ rotations, cells
 
 
 def canonicalize(system: AtomicSystem, element: EuclideanTransform) -> CanonicalView:
-    """Project a system into the axes of one frame element."""
-    return CanonicalView(_turned(system, element.translation, element.rotation), element)
+    """Project a system into the axes of one frame element: the one-element
+    call of :func:`canonical_views`."""
+    positions, cells = canonical_views(system, element.translation, element.rotation[None])
+    view = AtomicSystem(positions[0], system.atomic_numbers,
+                        None if cells is None else cells[0], system.pbc)
+    return CanonicalView(view, element)
 
 
 @dataclass(frozen=True)

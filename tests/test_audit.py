@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from faframe import audit, frames
+from faframe import audit, frames, geometry
 from faframe.audit import (
     METHODS,
     SymmetryReport,
@@ -11,7 +11,7 @@ from faframe.audit import (
     compare_methods,
     format_report_table,
 )
-from faframe.errors import NoForcesRequested
+from faframe.errors import EmptyBatch, NoForcesRequested
 from faframe.faenet import FAENetConfig, FAENetModel
 from faframe.geometry import SE3, AtomicSystem
 
@@ -50,18 +50,34 @@ def fixed_systems(seed, count=4):
 def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
     # The base systems are framed once as a batch, for the degeneracy check
     # and their canonical views, and once more by their prediction: twice,
-    # however many transforms are probed.
+    # however many transforms are probed. The probes of one system are
+    # framed together, in one call of the audit's own.
     systems = fixed_systems(1, count=2)
     # Frames are built in batches; every system that enters one counts.
     framed = []
+    audit_batches = []
     real = frames.compute_frames
 
     def counting(batch, *args, **kwargs):
         framed.extend(batch)
         return real(batch, *args, **kwargs)
 
+    def counting_in_audit(batch, *args, **kwargs):
+        audit_batches.append(len(batch))
+        return counting(batch, *args, **kwargs)
+
+    # Rigid motions are validated as they are built; the audit should build
+    # only its probe panel, however many elements a frame has.
+    built = []
+    real_post_init = geometry.EuclideanTransform.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
     monkeypatch.setattr(frames, "compute_frames", counting)
-    monkeypatch.setattr(audit, "compute_frames", counting)
+    monkeypatch.setattr(audit, "compute_frames", counting_in_audit)
+    monkeypatch.setattr(geometry.EuclideanTransform, "__post_init__", counting_post_init)
     model = FAENetModel(FORCE_CONFIG, np.random.default_rng(0))
     report = audit_model(model, systems, fa_mode="full", num_transforms=3,
                          rng=np.random.default_rng(2))
@@ -70,6 +86,25 @@ def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
         assert sum(s is system for s in framed) == 2
     # each of the 2 x 3 moved copies: its canonical views and its prediction
     assert len(framed) == len(systems) * (2 + 2 * 3 * 2)
+    # the base batch, then one batch of 2 x 3 probes per audited system
+    assert audit_batches == [len(systems)] + [2 * 3] * len(systems)
+
+    # SE3 frames have half as many elements as E3 frames; the audit builds
+    # the same transforms for both.
+    e3_built = len(built)
+    built.clear()
+    report = audit_model(model, systems, fa_mode="full", group=SE3, num_transforms=3,
+                         rng=np.random.default_rng(2))
+    assert report.num_systems == len(systems)
+    assert len(built) == e3_built
+
+
+def test_audit_of_no_systems_is_an_empty_batch():
+    model = FAENetModel(CONFIG, np.random.default_rng(0))
+    with pytest.raises(EmptyBatch, match="empty batch"):
+        audit_model(model, [], rng=np.random.default_rng(2))
+    with pytest.raises(EmptyBatch, match="empty batch"):
+        compare_methods(CONFIG, [], num_transforms=3)
 
 
 @pytest.mark.parametrize("num_transforms", [0, -3])

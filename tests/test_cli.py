@@ -290,6 +290,15 @@ def test_bench_rejects_fewer_than_one_seed(capsys):
     assert "num_seeds must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("epochs", ["-1", "-2"])
+def test_bench_rejects_negative_epochs(capsys, epochs):
+    code = main(["bench", "kchains", "--seeds", "1", "--epochs", epochs])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert f"epochs must be at least 0, got {epochs}" in captured.err
+
+
 def test_bench_deterministic_json(tmp_path, capsys):
     config = write_config(tmp_path / "config.json", energy_head="simple", cutoff=1.2)
     out_a = tmp_path / "a.json"

@@ -222,10 +222,15 @@ def test_benchmark_rejects_cross_family_angle():
     ({"num_seeds": -1}, "num_seeds"),
     ({"test_transforms": 0}, "test_transforms"),
     ({"test_transforms": -2}, "test_transforms"),
+    ({"epochs": -2}, "epochs"),
+    ({"train_transforms": -5}, "train_transforms"),
 ])
 def test_benchmark_rejects_empty_runs(counts, message):
-    with pytest.raises(ValueError, match=f"{message} must be at least 1"):
-        run_benchmark("kchains", 4, epochs=0, **{"num_seeds": 1, **counts})
+    # Zero epochs or training copies is a valid, untrained run.
+    floor = 0 if message in ("epochs", "train_transforms") else 1
+    with pytest.raises(ValueError,
+                       match=f"{message} must be at least {floor}, got {counts[message]}"):
+        run_benchmark("kchains", 4, **{"epochs": 0, "num_seeds": 1, **counts})
 
 
 def test_short_training_separates_the_classes():

@@ -326,6 +326,24 @@ def test_forward_ignores_translating_atoms_in_a_fixed_cell():
                                    atol=1e-9 * (1.0 + np.abs(base.forces).max()))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: a crystal's frame is the PCA of its stored positions, so "
+    "wrapping an atom by a cell row changes the frame and the energy"))
+def test_forward_ignores_wrapping_an_atom_by_a_cell_row():
+    # The wrapped atom is the same atom of the same crystal.
+    rng = np.random.default_rng(18)
+    config = FAENetConfig(hidden_channels=16, num_filters=16, num_gaussians=8,
+                          num_interactions=2, cutoff=5.0, max_neighbors=12)
+    model = FAENetModel(config, rng)
+    cell = np.diag([9.0, 10.5, 12.0]) + rng.uniform(-1.0, 1.0, (3, 3))
+    system = _uncentred_crystal(rng, 12, cell)
+    positions = system.positions.copy()
+    positions[0] += cell[1]
+    wrapped = AtomicSystem(positions, system.atomic_numbers, cell=cell, pbc=system.pbc)
+    base = forward(model, system, fa_mode="full").energy
+    assert abs(forward(model, wrapped, fa_mode="full").energy - base) <= 1e-9 * abs(base)
+
+
 def test_forward_on_uncentred_crystal_at_default_cutoff():
     # A 12.5 A cube is wider than twice the default 6 A cutoff, so only the
     # +/-1 images can be in reach, in every view.

@@ -14,6 +14,7 @@ from faframe.geometry import (
 )
 from faframe.frames import (
     FA_MODES,
+    canonical_views,
     canonicalize,
     compute_frame,
     compute_frames,
@@ -227,6 +228,26 @@ def test_canonicalize_rotates_cell_rows_and_never_translates_them():
     for a, b in zip(compute_frame(system, E3).elements, compute_frame(moved, E3).elements):
         np.testing.assert_allclose(canonicalize(moved, b).system.cell,
                                    canonicalize(system, a).system.cell, atol=1e-9)
+
+
+@pytest.mark.parametrize("group", [E3, SE3, Z_AXIS_2D])
+def test_stacked_views_are_the_one_rotation_views_bit_for_bit(mixed_batch, group):
+    # The CLI turns a frame's whole stack, or one sampled rotation of it;
+    # each view's bits must not depend on which.
+    rng = np.random.default_rng(38)
+    for _ in range(10):
+        batch = mixed_batch(rng)
+        for system, frame in zip(batch, compute_frames(batch, group)):
+            positions, cells = canonical_views(system, frame.translation, frame.rotations)
+            assert positions.shape == (len(frame.rotations), len(system.positions), 3)
+            assert (cells is None) == (system.cell is None)
+            for k, rotation in enumerate(frame.rotations):
+                one = (system.positions - frame.translation) @ rotation
+                assert positions[k].tobytes() == one.tobytes()
+                if cells is not None:
+                    assert cells[k].tobytes() == (system.cell @ rotation).tobytes()
+                view = canonicalize(system, EuclideanTransform(rotation, frame.translation))
+                assert view.system.positions.tobytes() == one.tobytes()
 
 
 # ---------------------------------------------------------------- degeneracy
