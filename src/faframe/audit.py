@@ -15,11 +15,11 @@ of every metric; an empty list of systems is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, NoForcesRequested
+from .errors import EmptyBatch
 from .faenet import FAENetConfig, FAENetModel, forward
 from .frames import Frame, canonical_views, compute_frames
 from .geometry import (
@@ -65,22 +65,8 @@ class SymmetryReport:
     group: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "pos": self.pos,
-            "pos_convention": POS_CONVENTION,
-            "rot_i": self.rot_i,
-            "refl_i": self.refl_i,
-            "pct_diff": self.pct_diff,
-            "f_rot_e": self.f_rot_e,
-            "f_refl_e": self.f_refl_e,
-            "units": "meV for energy metrics, meV/angstrom for force metrics",
-            "num_systems": self.num_systems,
-            "num_transforms": self.num_transforms,
-            "degenerate_count": self.degenerate_count,
-            "fa_mode": self.fa_mode,
-            "group": self.group,
-        }
+        return {**asdict(self), "schema_version": 1, "pos_convention": POS_CONVENTION,
+                "units": "meV for energy metrics, meV/angstrom for force metrics"}
 
 
 def _random_reflection(rng: np.random.Generator) -> EuclideanTransform:
@@ -123,16 +109,16 @@ def _multisets_match(a: np.ndarray, b: np.ndarray, tol=POS_TOLERANCE) -> bool:
 def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
                 fa_mode: str = "full", group: str = E3,
                 targets: list[float] | None = None, num_transforms: int = 10,
-                rng: np.random.Generator | None = None,
-                force_metrics: bool | None = None) -> SymmetryReport:
+                rng: np.random.Generator | None = None) -> SymmetryReport:
     """Measure invariance and equivariance errors of a model.
 
     For every non-degenerate system, ``num_transforms`` rotations and as many
     reflections are sampled; the report aggregates mean absolute energy
     discrepancies (rot_i, refl_i, meV), the mean relative discrepancy against
     ``targets`` (pct_diff, percent), and mean max-norm force equivariance
-    residuals (f_rot_e, f_refl_e, meV/angstrom) when the model has a force
-    head.
+    residuals (f_rot_e, f_refl_e, meV/angstrom). The force metrics are
+    measured exactly when ``model.config.predict_forces`` gives the model a
+    force head, and are None otherwise.
     """
     group = normalize_group(group)
     if not systems:
@@ -141,10 +127,7 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
         raise ValueError(f"num_transforms must be at least 1, got {num_transforms}")
     if rng is None:
         rng = np.random.default_rng()
-    if force_metrics is None:
-        force_metrics = model.config.predict_forces
-    if force_metrics and not model.config.predict_forces:
-        raise NoForcesRequested("force metrics demanded of an energy-only model")
+    force_metrics = model.config.predict_forces
     if targets is not None and len(targets) != len(systems):
         raise ValueError(f"{len(targets)} targets for {len(systems)} systems")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .audit import audit_model, format_report_table
 from .errors import FaframeError
-from .expressivity import run_benchmark
+from .expressivity import default_benchmark_config, run_benchmark
 from .faenet import FAENetConfig, FAENetModel, run_gradient_check
 from .frames import FA_MODES, canonical_views, compute_frames
 from .geometry import E3, AtomicSystem, normalize_group
@@ -51,13 +51,15 @@ def _dump_json(payload: dict, path: str | None):
         Path(path).write_text(text)
 
 
-def _load_model_config(path: str | None, overrides: dict) -> FAENetConfig:
-    """Build the model config with flag > file > default precedence."""
-    data = {}
+def _load_model_config(path: str | None, overrides: dict,
+                       default: FAENetConfig = FAENetConfig()) -> FAENetConfig:
+    """Build the model config with flag > file > ``default`` precedence."""
+    data = default.to_dict()
     if path is not None:
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
+        loaded = json.loads(Path(path).read_text())
+        if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
+        data.update(loaded)
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -158,9 +160,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
-    config = None
-    if args.config is not None:
-        config = _load_model_config(args.config, {"num_interactions": args.layers})
+    config = _load_model_config(args.config, {"num_interactions": args.layers},
+                                default_benchmark_config(args.family))
     if args.family == "kchains":
         if args.L is not None or args.angle is not None:
             raise ValueError("--L and --angle only apply to the rotsym family")
@@ -176,7 +177,6 @@ def _cmd_bench(args) -> int:
             parameter,
             num_seeds=args.seeds,
             epochs=args.epochs,
-            num_layers=args.layers,
             fa_mode=args.fa_mode,
             group=normalize_group(args.group),
             angle=args.angle,
@@ -253,7 +253,8 @@ def build_parser() -> _Parser:
     bench.add_argument("--k", type=int, help="backbone length for kchains (default 4)")
     bench.add_argument("--L", help="comma-separated ring sizes for rotsym (default 2,3,5,7)")
     bench.add_argument("--angle", type=float, help="ring twist in radians (default pi/L)")
-    bench.add_argument("--layers", type=int, default=1)
+    bench.add_argument("--layers", type=int,
+                       help="override the interaction count (default: the config file's, else 1)")
     bench.add_argument("--seeds", type=int, default=10)
     bench.add_argument("--epochs", type=int, default=150)
     bench.add_argument("--fa-mode", default="stochastic",

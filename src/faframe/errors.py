@@ -18,7 +18,7 @@ class NonFiniteLoss(FaframeError, FloatingPointError):
 
 
 class NonFiniteInput(FaframeError, ValueError):
-    """Positions or a cell hold NaN or infinity."""
+    """Positions or a cell hold NaN, infinity, or values that are not real numbers."""
 
 
 class CutoffExceedsImageRange(FaframeError, ValueError):
@@ -38,7 +38,7 @@ class UnknownElement(FaframeError, ValueError):
 
 
 class NoForcesRequested(FaframeError, ValueError):
-    """Force metrics were demanded of a model without a force head."""
+    """Forces were requested of a model without a force head."""
 
 
 class DegenerateAngle(FaframeError, ValueError):

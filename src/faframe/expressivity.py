@@ -20,7 +20,7 @@ Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations, product
 
 import numpy as np
@@ -36,6 +36,8 @@ FAMILIES = ("kchains", "rotsym")
 ALIGNMENT_THRESHOLD = 0.1
 # Pairing searches larger than this fall back to the distance-multiset test.
 MAX_PERMUTATIONS = 50_000
+# AdamW learning rate of every benchmark classifier.
+LEARNING_RATE = 1e-2
 
 _CHAIN_ELEMENT = 6
 _RING_ELEMENT = 7
@@ -203,7 +205,7 @@ def gen_rot_sym(length: int, angle: float | None = None) -> BenchmarkInstance:
     return BenchmarkInstance("rotsym", length, (reference, twisted), residual)
 
 
-def default_benchmark_config(family: str, num_interactions: int = 1) -> FAENetConfig:
+def default_benchmark_config(family: str) -> FAENetConfig:
     """Deliberately small model: separation must come from symmetry handling.
 
     The chain cutoff (1.2) keeps only nearest-neighbor bonds, so single-layer
@@ -218,7 +220,7 @@ def default_benchmark_config(family: str, num_interactions: int = 1) -> FAENetCo
         hidden_channels=32,
         num_filters=32,
         num_gaussians=16,
-        num_interactions=num_interactions,
+        num_interactions=1,
         cutoff=1.2 if family == "kchains" else 2.5,
         max_neighbors=16,
         energy_head="simple",
@@ -251,23 +253,9 @@ class BenchmarkResult:
         return sum(1 for a in self.accuracies if a == 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "family": self.family,
-            "parameter": self.parameter,
-            "fa_mode": self.fa_mode,
-            "group": self.group,
-            "num_layers": self.num_layers,
-            "epochs": self.epochs,
-            "accuracies": list(self.accuracies),
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "perfect_seeds": self.perfect_seeds,
-            "num_seeds": len(self.accuracies),
-            "min_alignment_residual": self.min_alignment_residual,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
+        return {**asdict(self), "schema_version": 1, "accuracies": list(self.accuracies),
+                "mean_accuracy": self.mean_accuracy, "std_accuracy": self.std_accuracy,
+                "perfect_seeds": self.perfect_seeds, "num_seeds": len(self.accuracies)}
 
 
 def _make_instance(family: str, parameter: int, angle: float | None) -> BenchmarkInstance:
@@ -281,18 +269,20 @@ def _make_instance(family: str, parameter: int, angle: float | None) -> Benchmar
 
 
 def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
-                  epochs: int = 150, num_layers: int = 1,
-                  fa_mode: str = "stochastic", group: str = E3,
-                  learning_rate: float = 1e-2, train_transforms: int = 20,
-                  test_transforms: int = 100, angle: float | None = None,
-                  seed: int = 0, config: FAENetConfig | None = None) -> BenchmarkResult:
+                  epochs: int = 150, fa_mode: str = "stochastic", group: str = E3,
+                  train_transforms: int = 20, test_transforms: int = 100,
+                  angle: float | None = None, seed: int = 0,
+                  config: FAENetConfig | None = None) -> BenchmarkResult:
     """Train fresh classifiers on one benchmark pair and score them.
 
-    Each seed gets its own model and transform stream. Every epoch trains on
-    both originals plus ``train_transforms`` random rigid copies per class in
-    a single batched cross-entropy step on the energy output; accuracy is
-    measured on ``test_transforms`` unseen copies per class, labeling by the
-    sign of the predicted energy.
+    The model is ``config``, by default :func:`default_benchmark_config` of
+    the family; the result's ``num_layers`` is its ``num_interactions``.
+    Each seed gets its own model, AdamW optimizer at ``LEARNING_RATE`` and
+    transform stream. Every epoch trains on both originals plus
+    ``train_transforms`` random rigid copies per class in a single batched
+    cross-entropy step on the energy output; accuracy is measured on
+    ``test_transforms`` unseen copies per class, labeling by the sign of the
+    predicted energy.
     """
     group = normalize_group(group)
     if num_seeds < 1:
@@ -305,12 +295,12 @@ def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
         raise ValueError(f"train_transforms must be at least 0, got {train_transforms}")
     instance = _make_instance(family, parameter, angle)
     if config is None:
-        config = default_benchmark_config(family, num_layers)
+        config = default_benchmark_config(family)
     accuracies = []
     for rep in range(num_seeds):
         rng = np.random.default_rng([seed, rep])
         model = FAENetModel(config, rng)
-        optimizer = dm.AdamW(model.parameters(), learning_rate=learning_rate)
+        optimizer = dm.AdamW(model.parameters(), learning_rate=LEARNING_RATE)
         for _ in range(epochs):
             systems = []
             labels = []
@@ -342,7 +332,7 @@ def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
         parameter=parameter,
         fa_mode=fa_mode,
         group=group,
-        num_layers=num_layers,
+        num_layers=config.num_interactions,
         epochs=epochs,
         accuracies=tuple(accuracies),
         min_alignment_residual=instance.min_alignment_residual,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +28,9 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
-from .errors import EmptyBatch, NonFiniteLoss, NoForcesRequested, UnknownElement
+from .errors import EmptyBatch, NonFiniteLoss, NoForcesRequested
 from .frames import ViewPlan, plan_views
-from .geometry import E3, AtomicSystem, build_radius_graphs
+from .geometry import E3, AtomicSystem, build_radius_graphs, positive_setting
 
 MP_VARIANTS = ("standard", "simple", "basic")
 ENERGY_HEADS = ("weighted", "simple")
@@ -53,7 +53,9 @@ class FAENetConfig:
 
     The defaults are the reference operating point: 384 hidden channels,
     480 filters, 104 gaussians, 5 interactions, 6 angstrom cutoff, and at
-    most 40 neighbors per atom.
+    most 40 neighbors per atom. Counts are stored as plain ``int`` and the
+    cutoff as a plain ``float`` (see :func:`~faframe.geometry.positive_setting`),
+    so equal settings serialize and hash alike whatever type they came in.
     """
 
     hidden_channels: int = 384
@@ -70,13 +72,10 @@ class FAENetConfig:
     property_table: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("hidden_channels", "num_filters", "num_gaussians",
-                     "num_interactions", "max_neighbors", "force_head_hidden"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not (np.isfinite(self.cutoff) and self.cutoff > 0):
-            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+        for spec in fields(self):  # every int field is a count, the float one a length
+            if spec.type in ("int", "float"):
+                value = positive_setting(spec.name, getattr(self, spec.name), spec.type == "int")
+                object.__setattr__(self, spec.name, value)
         if self.mp_variant not in MP_VARIANTS:
             raise ValueError(f"mp_variant must be one of {MP_VARIANTS}, got {self.mp_variant!r}")
         if self.energy_head not in ENERGY_HEADS:
@@ -98,20 +97,7 @@ class FAENetConfig:
 
     def to_dict(self) -> dict:
         table = self.property_table
-        return {
-            "hidden_channels": self.hidden_channels,
-            "num_filters": self.num_filters,
-            "num_gaussians": self.num_gaussians,
-            "num_interactions": self.num_interactions,
-            "cutoff": self.cutoff,
-            "max_neighbors": self.max_neighbors,
-            "mp_variant": self.mp_variant,
-            "energy_head": self.energy_head,
-            "jumping_connections": self.jumping_connections,
-            "predict_forces": self.predict_forces,
-            "force_head_hidden": self.force_head_hidden,
-            "property_table": None if table is None else table.tolist(),
-        }
+        return {**asdict(self), "property_table": None if table is None else table.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FAENetConfig":
@@ -238,12 +224,6 @@ class _Batch(NamedTuple):
     num_input_atoms: int
 
 
-def _validate_numbers(numbers: np.ndarray):
-    bad = numbers[(numbers < 1) | (numbers > MAX_ATOMIC_NUMBER)]
-    if bad.size:
-        raise UnknownElement(f"atomic number {int(bad[0])} outside 1..{MAX_ATOMIC_NUMBER}")
-
-
 def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
                 config: FAENetConfig) -> _Batch:
     """Merge a plan's views into one disjoint graph, one output per view.
@@ -259,7 +239,6 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
     if not systems:
         raise EmptyBatch("empty batch: at least one system is needed")
     numbers = np.concatenate([system.atomic_numbers for system in systems])
-    _validate_numbers(numbers)
     graphs = build_radius_graphs(systems, config.cutoff, config.max_neighbors)
     radial = rbf(np.concatenate([graph.distances for graph in graphs]), config.num_gaussians,
                  config.cutoff)

@@ -19,12 +19,15 @@ kept public because the benchmark harness imports it by name.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, UnknownElement
+from .elements import MAX_ATOMIC_NUMBER
+from .errors import NonFiniteInput, ShapeMismatch, UnknownElement
 
 ORTHONORMAL_TOL = 1e-10
 CELL_DET_TOL = 1e-10
@@ -56,9 +59,45 @@ def normalize_group(group: str) -> str:
     raise ValueError(f"unknown group {group!r}; expected one of {TRANSFORM_GROUPS}")
 
 
+def positive_setting(name: str, value, integer: bool = False) -> int | float:
+    """A model or graph setting as a plain ``int`` if ``integer``, else a plain ``float``.
+
+    A count takes a Python or numpy integer of at least 1; a length such as a
+    cutoff takes any finite real number above 0. Bools are neither. Raises
+    ValueError naming ``name`` otherwise.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, kind) and not isinstance(value, bool):
+        number = int(value) if integer else float(value)
+        if number > 0 and (integer or math.isfinite(number)):
+            return number
+    rule = "a positive integer" if integer else "positive and finite"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _array(values, name: str) -> np.ndarray:
+    """``np.asarray(values)``; nested sequences of unequal lengths raise ShapeMismatch."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise ShapeMismatch(f"{name} has rows of unequal length") from None
+
+
+def _coordinates(values, name: str) -> np.ndarray:
+    """Positions or a cell as float64; values that are not numbers raise NonFiniteInput."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raw = _array(values, name)
+        raise NonFiniteInput(
+            f"{name} must be real numbers, got {raw.dtype} values {raw.ravel()[:3].tolist()}"
+        ) from None
+
+
 def _atomic_numbers(values) -> np.ndarray:
-    """Atomic numbers as int64; whole-valued floats pass, nothing is truncated."""
-    raw = np.asarray(values)
+    """Atomic numbers 1..MAX_ATOMIC_NUMBER as int64; whole-valued floats pass,
+    nothing is truncated."""
+    raw = _array(values, "atomic_numbers")
     if raw.dtype.kind not in "iuf":  # bools are kind "b"
         raise UnknownElement(
             f"atomic numbers must be integers, got {raw.dtype} values {raw.ravel()[:3].tolist()}"
@@ -67,9 +106,9 @@ def _atomic_numbers(values) -> np.ndarray:
         fractional = raw[~np.isfinite(raw) | (raw != np.round(raw))]
         if fractional.size:
             raise UnknownElement(f"atomic number {fractional[0].item()!r} is not an integer")
-    below = raw[raw < 1]
-    if below.size:
-        raise UnknownElement(f"atomic number {below[0].item()!r} is below 1")
+    bad = raw[(raw < 1) | (raw > MAX_ATOMIC_NUMBER)]
+    if bad.size:
+        raise UnknownElement(f"atomic number {bad[0].item()!r} outside 1..{MAX_ATOMIC_NUMBER}")
     return raw.astype(np.int64, copy=False)
 
 
@@ -82,11 +121,15 @@ class AtomicSystem:
     positions : (n, 3) array
         Cartesian coordinates in angstrom.
     atomic_numbers : (n,) int array
-        One entry >= 1 per atom.
+        One entry in 1..118 per atom.
     cell : (3, 3) array, optional
         Rows are the lattice vectors. Required whenever any pbc flag is set.
     pbc : length-3 sequence of bool
         Periodicity along each lattice vector. Defaults to fully aperiodic.
+
+    Arrays of the wrong shape raise ShapeMismatch, coordinates that are not
+    finite real numbers NonFiniteInput, and atomic numbers that name no
+    element UnknownElement.
     """
 
     positions: np.ndarray
@@ -95,24 +138,27 @@ class AtomicSystem:
     pbc: tuple[bool, bool, bool] = (False, False, False)
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.float64)
+        positions = _coordinates(self.positions, "positions")
         if positions.ndim != 2 or positions.shape[1] != 3 or positions.shape[0] < 1:
-            raise ValueError(f"positions must be (n, 3) with n >= 1, got {positions.shape}")
+            raise ShapeMismatch(f"positions must be (n, 3) with n >= 1, got {positions.shape}")
         if not np.isfinite(positions).all():
             raise NonFiniteInput("positions contain NaN or inf")
         numbers = _atomic_numbers(self.atomic_numbers)
         if numbers.shape != (positions.shape[0],):
-            raise ValueError(
+            raise ShapeMismatch(
                 f"atomic_numbers shape {numbers.shape} does not match {positions.shape[0]} atoms"
             )
-        pbc = tuple(bool(flag) for flag in self.pbc)
+        try:
+            pbc = tuple(bool(flag) for flag in self.pbc)
+        except (TypeError, ValueError):  # one flag, such as pbc=True, or flag arrays
+            pbc = ()
         if len(pbc) != 3:
-            raise ValueError("pbc must have exactly three flags")
+            raise ShapeMismatch(f"pbc must have exactly three flags, got {self.pbc!r}")
         cell = self.cell
         if cell is not None:
-            cell = np.asarray(cell, dtype=np.float64)
+            cell = _coordinates(cell, "cell")
             if cell.shape != (3, 3):
-                raise ValueError(f"cell must be (3, 3), got {cell.shape}")
+                raise ShapeMismatch(f"cell must be (3, 3), got {cell.shape}")
             if not np.isfinite(cell).all():
                 raise NonFiniteInput("cell contains NaN or inf")
         if any(pbc) and cell is None:
@@ -315,11 +361,8 @@ def build_radius_graphs(
     of its own; a periodic system is searched alone, on its own lattice. A
     system's graph is bit for bit the same whichever call builds it.
     """
-    if not (np.isfinite(cutoff) and cutoff > 0):
-        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
-    if (isinstance(max_neighbors, (bool, np.bool_))
-            or not isinstance(max_neighbors, (int, np.integer)) or max_neighbors < 1):
-        raise ValueError(f"max_neighbors must be a positive integer, got {max_neighbors!r}")
+    cutoff = positive_setting("cutoff", cutoff)
+    max_neighbors = positive_setting("max_neighbors", max_neighbors, integer=True)
 
     graphs: list = [None] * len(systems)
     aperiodic = [i for i, system in enumerate(systems) if not system.is_periodic]
@@ -431,8 +474,8 @@ def _search(systems: list[AtomicSystem], cutoff: float, max_neighbors: int) -> l
             offsets=offsets[a:b],
             distances=distances[a:b],
             rel_vectors=rel_vectors[a:b],
-            cutoff=float(cutoff),
-            max_neighbors=int(max_neighbors),
+            cutoff=cutoff,
+            max_neighbors=max_neighbors,
             num_nodes=system.num_atoms,
         )
         for system, first, a, b in zip(systems, firsts, bounds[:-1], bounds[1:])

@@ -11,7 +11,7 @@ from faframe.audit import (
     compare_methods,
     format_report_table,
 )
-from faframe.errors import EmptyBatch, NoForcesRequested
+from faframe.errors import EmptyBatch
 from faframe.faenet import FAENetConfig, FAENetModel
 from faframe.geometry import SE3, AtomicSystem
 
@@ -150,12 +150,6 @@ def test_none_mode_breaks_invariance():
     assert none.rot_i > full.rot_i
     assert none.rot_i > 1e-3
     assert none.pos == 0
-
-
-def test_force_metrics_demand_force_head():
-    model = FAENetModel(CONFIG, np.random.default_rng(9))
-    with pytest.raises(NoForcesRequested):
-        audit_model(model, fixed_systems(10), force_metrics=True)
 
 
 def test_energy_only_model_reports_no_force_columns():

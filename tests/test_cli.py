@@ -299,6 +299,22 @@ def test_bench_rejects_negative_epochs(capsys, epochs):
     assert f"epochs must be at least 0, got {epochs}" in captured.err
 
 
+def test_bench_config_file_sets_the_layer_count_unless_flagged(tmp_path, capsys):
+    # flag > file > the benchmark's default config
+    config = write_config(tmp_path / "config.json", num_interactions=3)
+    out = tmp_path / "bench.json"
+
+    def layers(*flags):
+        argv = ["bench", "kchains", "--k", "2", "--seeds", "1", "--epochs", "0", *flags]
+        assert main(argv + ["-o", str(out)]) == EXIT_OK
+        return json.loads(out.read_text())["results"][0]["num_layers"]
+
+    assert layers("--config", config) == 3
+    assert layers("--config", config, "--layers", "2") == 2
+    assert layers() == 1
+    capsys.readouterr()
+
+
 def test_bench_deterministic_json(tmp_path, capsys):
     config = write_config(tmp_path / "config.json", energy_head="simple", cutoff=1.2)
     out_a = tmp_path / "a.json"

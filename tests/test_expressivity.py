@@ -15,6 +15,7 @@ from faframe.expressivity import (
     rigid_alignment_residual,
     run_benchmark,
 )
+from faframe.faenet import FAENetConfig
 from faframe.geometry import E3, AtomicSystem, apply_transform, random_transform
 
 
@@ -193,6 +194,16 @@ def test_untrained_accuracy_is_chance_level():
     assert abs(result.mean_accuracy - 0.5) <= 3 * np.sqrt(0.25 / 100)
     assert result.std_accuracy == 0.0
     assert len(result.accuracies) == 1
+
+
+def test_benchmark_reports_the_layer_count_of_its_config():
+    config = FAENetConfig(hidden_channels=8, num_filters=8, num_gaussians=4, num_interactions=3,
+                          cutoff=1.2, max_neighbors=8, energy_head="simple")
+    result = run_benchmark("kchains", 3, num_seeds=1, epochs=0, test_transforms=1,
+                           config=config)
+    assert result.num_layers == 3
+    assert result.config_hash == config.config_hash()
+    assert run_benchmark("kchains", 3, num_seeds=1, epochs=0, test_transforms=1).num_layers == 1
 
 
 def test_benchmark_result_statistics():

@@ -475,8 +475,8 @@ def test_single_atom_energy_finite_everywhere():
 def test_unknown_element_rejected():
     rng = np.random.default_rng(10)
     model = FAENetModel(TINY, rng)
-    bad = AtomicSystem(np.zeros((2, 3)), np.array([6, 999]))
     with pytest.raises(UnknownElement):
+        bad = AtomicSystem(np.zeros((2, 3)), np.array([6, 999]))
         forward(model, bad, fa_mode="none")
 
 
@@ -675,6 +675,28 @@ def test_config_validation():
         FAENetConfig(mp_variant="fancy")
     with pytest.raises(ValueError):
         FAENetConfig(energy_head="gated")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_neighbors", True),
+    ("num_interactions", np.bool_(True)),
+    ("hidden_channels", 8.0),
+    ("cutoff", True),
+    ("cutoff", "6"),
+])
+def test_config_rejects_bools_and_non_numbers_at_construction(field, value):
+    # max_neighbors=True used to pass here and fail in every forward call.
+    with pytest.raises(ValueError, match=field):
+        FAENetConfig(**{field: value})
+
+
+def test_config_stores_plain_numbers_so_equal_settings_hash_alike():
+    plain = FAENetConfig(hidden_channels=8, num_interactions=2, cutoff=6.0)
+    numpy = FAENetConfig(hidden_channels=np.int64(8), num_interactions=np.int32(2),
+                         cutoff=np.float32(6.0))
+    assert numpy.config_hash() == plain.config_hash()
+    assert type(numpy.hidden_channels) is int and type(numpy.cutoff) is float
+    assert FAENetConfig(cutoff=6).config_hash() == FAENetConfig(cutoff=6.0).config_hash()
 
 
 @pytest.mark.parametrize("cutoff", [float("nan"), float("inf")])

@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from faframe.errors import CutoffExceedsImageRange, FaframeError, NonFiniteInput, UnknownElement
+from faframe.errors import (
+    CutoffExceedsImageRange,
+    FaframeError,
+    NonFiniteInput,
+    ShapeMismatch,
+    UnknownElement,
+)
 from faframe.geometry import (
     E3,
     SE3,
@@ -591,11 +597,31 @@ def test_non_finite_cell_rejected():
     ([0], "0"),
     ([6, -2], "-2"),
     (["C"], "C"),
+    ([6, 999], "999"),
+    ([119.0], "119.0"),
 ])
 def test_bad_atomic_numbers_rejected_not_truncated(numbers, named):
     with pytest.raises(UnknownElement, match=named) as err:
         AtomicSystem(np.zeros((len(numbers), 3)), numbers)
     assert isinstance(err.value, FaframeError)
+
+
+@pytest.mark.parametrize("kwargs, error, named", [
+    ({"pbc": True}, ShapeMismatch, "three flags"),
+    ({"pbc": (True, False)}, ShapeMismatch, "three flags"),
+    ({"positions": [["0", "x", "1"], ["1", "2", "3"]]}, NonFiniteInput, "positions"),
+    ({"cell": [["a", "b", "c"]] * 3}, NonFiniteInput, "cell"),
+    ({"positions": [[0.0, 0.0, 0.0], [1.0, 2.0]]}, ShapeMismatch, "positions"),
+    ({"cell": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}, ShapeMismatch, "cell"),
+    ({"atomic_numbers": [[6], [6, 1]]}, ShapeMismatch, "atomic_numbers"),
+    ({"positions": np.zeros((2, 2))}, ShapeMismatch, "positions"),
+])
+def test_malformed_system_input_is_a_package_error(kwargs, error, named):
+    # Each used to escape as a bare TypeError or as numpy's own ValueError.
+    arguments = {"positions": np.zeros((2, 3)), "atomic_numbers": [6, 1], **kwargs}
+    with pytest.raises(error, match=named) as err:
+        AtomicSystem(**arguments)
+    assert isinstance(err.value, FaframeError) and isinstance(err.value, ValueError)
 
 
 def test_whole_float_atomic_numbers_accepted():
