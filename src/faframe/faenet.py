@@ -53,9 +53,10 @@ class FAENetConfig:
 
     The defaults are the reference operating point: 384 hidden channels,
     480 filters, 104 gaussians, 5 interactions, 6 angstrom cutoff, and at
-    most 40 neighbors per atom. Counts are stored as plain ``int`` and the
-    cutoff as a plain ``float`` (see :func:`~faframe.geometry.positive_setting`),
-    so equal settings serialize and hash alike whatever type they came in.
+    most 40 neighbors per atom. Counts are stored as plain ``int``, the
+    cutoff as a plain ``float`` (see :func:`~faframe.geometry.positive_setting`)
+    and the switches as plain ``bool``, so equal settings serialize and hash
+    alike whatever type they came in.
     """
 
     hidden_channels: int = 384
@@ -73,9 +74,14 @@ class FAENetConfig:
 
     def __post_init__(self):
         for spec in fields(self):  # every int field is a count, the float one a length
+            value = getattr(self, spec.name)
             if spec.type in ("int", "float"):
-                value = positive_setting(spec.name, getattr(self, spec.name), spec.type == "int")
-                object.__setattr__(self, spec.name, value)
+                value = positive_setting(spec.name, value, spec.type == "int")
+            elif spec.type == "bool":  # bool("false") is True, so only real bools pass
+                if not isinstance(value, (bool, np.bool_)):
+                    raise ValueError(f"{spec.name} must be a bool, got {value!r}")
+                value = bool(value)
+            object.__setattr__(self, spec.name, value)
         if self.mp_variant not in MP_VARIANTS:
             raise ValueError(f"mp_variant must be one of {MP_VARIANTS}, got {self.mp_variant!r}")
         if self.energy_head not in ENERGY_HEADS:
@@ -337,16 +343,14 @@ def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffVal
     if variant == "standard":
         # concat([e, h[dst], h[src]]) @ filter_w + filter_b, one row block
         # of filter_w per part. The node blocks (and the bias, carried by
-        # the dst block) are applied per node, then gathered to the edges.
+        # the dst block) are applied per node; edge_gate gathers them to the
+        # edges, adds the edge block and takes the swish as one node.
         f, hidden = model.config.num_filters, model.config.hidden_channels
         weight = params[f"{prefix}.filter_w"]
         per_dst = dm.add(dm.matmul(h, dm.slice_rows(weight, f, f + hidden)),
                          params[f"{prefix}.filter_b"])
         per_src = dm.matmul(h, dm.slice_rows(weight, f + hidden, f + 2 * hidden))
-        gate_in = dm.add(dm.add(dm.matmul(e, dm.slice_rows(weight, 0, f)),
-                                dm.gather_rows(per_dst, dst)),
-                         dm.gather_rows(per_src, src))
-        gate = dm.swish(gate_in)
+        gate = dm.edge_gate(dm.matmul(e, dm.slice_rows(weight, 0, f)), per_dst, dst, per_src, src)
     elif variant == "simple":
         gate = dm.swish(dm.add(dm.matmul(e, params[f"{prefix}.filter_w"]),
                                params[f"{prefix}.filter_b"]))

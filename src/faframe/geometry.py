@@ -125,7 +125,8 @@ class AtomicSystem:
     cell : (3, 3) array, optional
         Rows are the lattice vectors. Required whenever any pbc flag is set.
     pbc : length-3 sequence of bool
-        Periodicity along each lattice vector. Defaults to fully aperiodic.
+        Periodicity along each lattice vector, as Python or numpy bools.
+        Defaults to fully aperiodic.
 
     Arrays of the wrong shape raise ShapeMismatch, coordinates that are not
     finite real numbers NonFiniteInput, and atomic numbers that name no
@@ -149,11 +150,15 @@ class AtomicSystem:
                 f"atomic_numbers shape {numbers.shape} does not match {positions.shape[0]} atoms"
             )
         try:
-            pbc = tuple(bool(flag) for flag in self.pbc)
-        except (TypeError, ValueError):  # one flag, such as pbc=True, or flag arrays
+            pbc = tuple(self.pbc)
+        except TypeError:  # one flag, such as pbc=True
             pbc = ()
         if len(pbc) != 3:
             raise ShapeMismatch(f"pbc must have exactly three flags, got {self.pbc!r}")
+        for flag in pbc:  # bool("F") is True, so only real bools are flags
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ShapeMismatch(f"pbc flag {flag!r} is not a bool, in {self.pbc!r}")
+        pbc = tuple(bool(flag) for flag in pbc)
         cell = self.cell
         if cell is not None:
             cell = _coordinates(cell, "cell")

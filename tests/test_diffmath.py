@@ -170,6 +170,140 @@ def test_segment_sum_rejects_out_of_range_ids():
         dm.segment_sum(dm.DiffValue(np.ones((2, 1))), np.array([0, 5]), 3)
 
 
+# ----------------------------------------------------------------- edge_gate
+
+
+def _unfused_gate(x, a, a_index, b, b_index):
+    return dm.swish(dm.add(dm.add(x, dm.gather_rows(a, a_index)), dm.gather_rows(b, b_index)))
+
+
+def _gate_grads(gate, arrays, a_index, b_index, weights):
+    """Output and the gradient of every parent of ``gate`` under a weighted sum."""
+    x, a, b = (dm.DiffValue(array.copy()) for array in arrays)
+    out = gate(x, a, a_index, b, b_index)
+    dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))
+    return [out.data, x.grad, a.grad, b.grad]
+
+
+# (dst ids, src ids, table rows): rows 2 and 3 of "isolated" are no edge's end.
+GATE_CASES = {
+    "sorted_dst_unsorted_src": (np.array([0, 0, 1, 2, 2, 2]), np.array([2, 1, 0, 0, 1, 1]), 3),
+    "repeated_unsorted": (np.array([2, 0, 2, 1, 0, 2, 2]), np.array([1, 1, 0, 2, 2, 0, 1]), 3),
+    "isolated": (np.array([0, 1, 1, 4, 4]), np.array([1, 0, 4, 1, 0]), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_edge_gate_is_bitwise_the_unfused_composition(case, monkeypatch):
+    dst, src, n = GATE_CASES[case]
+    rng = np.random.default_rng(len(dst))
+    arrays = [rng.standard_normal((len(dst), 4)), rng.standard_normal((n, 4)),
+              rng.standard_normal((n, 4))]
+    weights = rng.standard_normal((len(dst), 4))
+    expected = _gate_grads(_unfused_gate, arrays, dst, src, weights)
+    # One row per block as well, so the chains run over many blocks.
+    for block_bytes in (dm.SWISH_BLOCK_BYTES, 8 * 4):
+        monkeypatch.setattr(dm, "SWISH_BLOCK_BYTES", block_bytes)
+        for a_index, b_index in ((dst, src), (dm.segments(dst), dm.segments(src))):
+            got = _gate_grads(dm.edge_gate, arrays, a_index, b_index, weights)
+            for g, e in zip(got, expected):
+                assert g.tobytes() == e.tobytes()
+    if case == "isolated":
+        assert not expected[2][2:4].any() and not expected[3][2:4].any()
+
+
+def test_edge_gate_over_a_window_is_bitwise_the_unfused_composition():
+    # Two disjoint graphs in one batch; the second is gated through windows.
+    rng = np.random.default_rng(4)
+    dst = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 7)])
+    src = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 7)])
+    a_index = dm.segments(dst).window(5, 12, 3)
+    b_index = dm.segments(src).window(5, 12, 3)
+    arrays = [rng.standard_normal((7, 3)), rng.standard_normal((4, 3)),
+              rng.standard_normal((4, 3))]
+    weights = rng.standard_normal((7, 3))
+    got = _gate_grads(dm.edge_gate, arrays, a_index, b_index, weights)
+    expected = _gate_grads(_unfused_gate, arrays, dst[5:] - 3, src[5:] - 3, weights)
+    for g, e in zip(got, expected):
+        assert g.tobytes() == e.tobytes()
+
+
+def test_edge_gate_matches_finite_differences():
+    rng = np.random.default_rng(5)
+    dst, src = np.array([1, 0, 1, 2, 2]), np.array([2, 2, 0, 1, 1])
+    arrays = [rng.standard_normal((5, 3)), rng.standard_normal((3, 3)),
+              rng.standard_normal((3, 3))]
+    weights = rng.standard_normal((5, 3))
+
+    def run(current):
+        x, a, b = (dm.DiffValue(array) for array in current)
+        gate = dm.edge_gate(x, a, dm.segments(dst), b, dm.segments(src))
+        return float(dm.sum_all(dm.mul(dm.mul(gate, gate), dm.constant(weights))).data)
+
+    values = [dm.DiffValue(array.copy()) for array in arrays]
+    gate = dm.edge_gate(values[0], values[1], dst, values[2], src)
+    dm.backward(dm.sum_all(dm.mul(dm.mul(gate, gate), dm.constant(weights))))
+    numeric = dm.numerical_gradient(run, arrays)
+    for value, num in zip(values, numeric):
+        assert np.abs(value.grad - num).max() / max(np.abs(num).max(), 1.0) < 1e-7
+
+
+def test_edge_gate_rejects_mismatched_rows():
+    x, table = dm.DiffValue(np.zeros((3, 2))), dm.DiffValue(np.zeros((2, 2)))
+    with pytest.raises(ShapeMismatch, match="edge_gate"):
+        dm.edge_gate(x, table, [0, 1], table, [0, 1, 1])
+    with pytest.raises(ShapeMismatch, match="edge_gate"):
+        dm.edge_gate(x, dm.DiffValue(np.zeros((2, 3))), [0, 1, 1], table, [0, 1, 1])
+
+
+def test_swish_over_row_blocks_is_bitwise_one_pass(monkeypatch):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((11, 5)) * 30.0
+    weights = rng.standard_normal((11, 5))
+    sig = dm._stable_sigmoid(x)
+    expected_out = x * sig
+    expected_grad = (1.0 - sig) * expected_out + sig
+    expected_grad *= weights
+    monkeypatch.setattr(dm, "SWISH_BLOCK_BYTES", 2 * 8 * 5)  # two rows a block
+    value = dm.DiffValue(x)
+    out = dm.swish(value)
+    dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))
+    assert out.data.tobytes() == expected_out.tobytes()
+    assert value.grad.tobytes() == expected_grad.tobytes()
+
+
+# -------------------------------------------------------- gradient ownership
+
+
+def test_first_gradient_is_kept_and_later_ones_added_in_place():
+    value = dm.DiffValue(np.zeros((2, 2)))
+    first = np.ones((2, 2))
+    value.accumulate_grad(first)
+    assert value.grad is first
+    value.accumulate_grad(np.full((2, 2), 2.0))
+    assert value.grad is first and (first == 3.0).all()
+    # A broadcast view or a scalar is never kept.
+    for delta in (np.broadcast_to(np.ones(2), (2, 2)), np.float64(1.0)):
+        other = dm.DiffValue(np.zeros((2, 2)))
+        other.accumulate_grad(delta)
+        assert other.grad is not delta
+        np.testing.assert_array_equal(other.grad, np.ones((2, 2)))
+
+
+def test_add_gives_each_parent_its_own_gradient():
+    # x feeds a later op too, so it owns the grad add hands it and adds into it.
+    x, y = dm.DiffValue(np.array([1.0, 2.0])), dm.DiffValue(np.array([3.0, -1.0]))
+    weights = dm.constant(np.array([5.0, 7.0]))
+    total = dm.add(dm.sum_all(dm.mul(dm.add(x, y), weights)), dm.sum_all(dm.mul(x, x)))
+    dm.backward(total)
+    np.testing.assert_array_equal(y.grad, [5.0, 7.0])
+    np.testing.assert_array_equal(x.grad, [5.0 + 2.0, 7.0 + 4.0])
+
+    z = dm.DiffValue(np.array([1.0, -3.0]))
+    dm.backward(dm.sum_all(dm.mul(dm.add(z, z), weights)))
+    np.testing.assert_array_equal(z.grad, [10.0, 14.0])
+
+
 def test_bce_matches_direct_formula():
     logits = np.array([[-3.0], [0.5], [40.0], [-40.0]])
     targets = np.array([[0.0], [1.0], [1.0], [0.0]])

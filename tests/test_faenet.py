@@ -634,6 +634,43 @@ def test_non_finite_loss_aborts_before_update():
         np.testing.assert_array_equal(value.data, before[name])
 
 
+def _zero_fill_accumulate(self, delta):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += delta
+
+
+def _unfused_edge_gate(x, a, a_index, b, b_index):
+    return dm.swish(dm.add(dm.add(x, dm.gather_rows(a, a_index)), dm.gather_rows(b, b_index)))
+
+
+def _two_force_steps(seed):
+    config = FAENetConfig(hidden_channels=8, num_filters=8, num_gaussians=4, num_interactions=2,
+                          cutoff=4.0, max_neighbors=8, predict_forces=True, force_head_hidden=6)
+    model = FAENetModel(config, np.random.default_rng(seed))
+    optimizer = dm.AdamW(model.parameters(), learning_rate=1e-2)
+    rng = np.random.default_rng(seed + 1)
+    losses = []
+    for _ in range(2):
+        batch = [TrainSample(random_system(rng, n=n), float(rng.normal()),
+                             rng.normal(0.0, 0.1, (n, 3))) for n in (4, 6, 9)]
+        losses.append(train_step(model, batch, optimizer, force_coeff=1.0, rng=rng))
+    return losses, {name: p.data.tobytes() for name, p in model.params.items()}
+
+
+def test_training_is_bitwise_the_zero_filled_unfused_tape(monkeypatch):
+    # Owned gradients, the fused gate and blocked swish chains (a few rows per
+    # block here) change no bit of the loss or of any parameter.
+    monkeypatch.setattr(dm, "SWISH_BLOCK_BYTES", 3 * 8 * 8)
+    losses, params = _two_force_steps(31)
+    monkeypatch.setattr(dm, "SWISH_BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(dm.DiffValue, "accumulate_grad", _zero_fill_accumulate)
+    monkeypatch.setattr(dm, "edge_gate", _unfused_edge_gate)
+    reference_losses, reference = _two_force_steps(31)
+    assert losses == reference_losses
+    assert params == reference
+
+
 def test_data_augment_training_runs():
     rng = np.random.default_rng(19)
     model = FAENetModel(TINY, rng)
@@ -683,19 +720,24 @@ def test_config_validation():
     ("hidden_channels", 8.0),
     ("cutoff", True),
     ("cutoff", "6"),
+    ("predict_forces", "false"),
+    ("jumping_connections", 0),
+    ("jumping_connections", None),
 ])
 def test_config_rejects_bools_and_non_numbers_at_construction(field, value):
-    # max_neighbors=True used to pass here and fail in every forward call.
+    # max_neighbors=True used to pass here and fail in every forward call;
+    # predict_forces="false", as a JSON file can give it, built a force head.
     with pytest.raises(ValueError, match=field):
         FAENetConfig(**{field: value})
 
 
 def test_config_stores_plain_numbers_so_equal_settings_hash_alike():
-    plain = FAENetConfig(hidden_channels=8, num_interactions=2, cutoff=6.0)
+    plain = FAENetConfig(hidden_channels=8, num_interactions=2, cutoff=6.0, predict_forces=True)
     numpy = FAENetConfig(hidden_channels=np.int64(8), num_interactions=np.int32(2),
-                         cutoff=np.float32(6.0))
+                         cutoff=np.float32(6.0), predict_forces=np.bool_(True))
     assert numpy.config_hash() == plain.config_hash()
     assert type(numpy.hidden_channels) is int and type(numpy.cutoff) is float
+    assert type(numpy.predict_forces) is bool
     assert FAENetConfig(cutoff=6).config_hash() == FAENetConfig(cutoff=6.0).config_hash()
 
 

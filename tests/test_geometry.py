@@ -615,13 +615,24 @@ def test_bad_atomic_numbers_rejected_not_truncated(numbers, named):
     ({"cell": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}, ShapeMismatch, "cell"),
     ({"atomic_numbers": [[6], [6, 1]]}, ShapeMismatch, "atomic_numbers"),
     ({"positions": np.zeros((2, 2))}, ShapeMismatch, "positions"),
+    ({"pbc": ("F", "F", "F")}, ShapeMismatch, "pbc flag 'F'"),
+    ({"pbc": (True, False, 1)}, ShapeMismatch, "pbc flag 1"),
+    ({"pbc": "TTT"}, ShapeMismatch, "pbc flag 'T'"),
 ])
 def test_malformed_system_input_is_a_package_error(kwargs, error, named):
-    # Each used to escape as a bare TypeError or as numpy's own ValueError.
+    # Each used to escape as a bare TypeError or as numpy's own ValueError;
+    # the pbc flags that are not bools used to pass, as bool("F") is True.
     arguments = {"positions": np.zeros((2, 3)), "atomic_numbers": [6, 1], **kwargs}
     with pytest.raises(error, match=named) as err:
         AtomicSystem(**arguments)
     assert isinstance(err.value, FaframeError) and isinstance(err.value, ValueError)
+
+
+def test_numpy_bool_pbc_flags_are_stored_as_bools():
+    system = AtomicSystem(np.zeros((1, 3)), [1], cell=5.0 * np.eye(3),
+                          pbc=np.array([True, False, True]))
+    assert system.pbc == (True, False, True)
+    assert all(type(flag) is bool for flag in system.pbc)
 
 
 def test_whole_float_atomic_numbers_accepted():
