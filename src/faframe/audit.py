@@ -31,6 +31,7 @@ from .geometry import (
     apply_transform,
     normalize_group,
     random_transform,
+    with_det_sign,
 )
 
 EV_TO_MEV = 1000.0
@@ -72,11 +73,7 @@ class SymmetryReport:
 def _random_reflection(rng: np.random.Generator) -> EuclideanTransform:
     """A rigid motion whose orthogonal part has det -1."""
     transform = random_transform(E3, rng)
-    rotation = transform.rotation
-    if np.linalg.det(rotation) > 0:
-        rotation = rotation.copy()
-        rotation[:, 0] = -rotation[:, 0]
-    return EuclideanTransform(rotation, transform.translation)
+    return EuclideanTransform(with_det_sign(transform.rotation, -1.0), transform.translation)
 
 
 def _representation(system: AtomicSystem, frame: Frame | None) -> np.ndarray:

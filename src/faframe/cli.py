@@ -22,7 +22,7 @@ import numpy as np
 from .audit import audit_model, format_report_table
 from .errors import FaframeError
 from .expressivity import default_benchmark_config, run_benchmark
-from .faenet import FAENetConfig, FAENetModel, run_gradient_check
+from .faenet import GRADCHECK_CONFIG, FAENetConfig, FAENetModel, run_gradient_check
 from .frames import FA_MODES, canonical_views, compute_frames
 from .geometry import E3, AtomicSystem, normalize_group
 from .xyz import format_xyz, read_xyz_blocks
@@ -203,9 +203,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = None
-    if args.config is not None:
-        config = _load_model_config(args.config, {})
+    config = _load_model_config(args.config, {}, GRADCHECK_CONFIG)
     report = run_gradient_check(config, seed=args.seed)
     print(
         f"gradient check: {report['status']} "
@@ -226,11 +224,9 @@ def build_parser() -> _Parser:
     canon = sub.add_parser("canonicalize", help="rewrite systems in frame coordinates")
     canon.add_argument("input", help="extended-XYZ file, possibly with several blocks")
     canon.add_argument("--group", default=E3, help="frame group: E3, SE3, or Z_AXIS_2D")
-    pick = canon.add_mutually_exclusive_group()
-    pick.add_argument("--all-frames", action="store_true", default=True,
-                      help="emit every frame element's view (default)")
-    pick.add_argument("--sample", type=int, metavar="SEED",
-                      help="emit one view per system, chosen with this seed")
+    canon.add_argument("--sample", type=int, metavar="SEED",
+                       help="emit one view per system, chosen with this seed "
+                            "(default: every frame element's view)")
     canon.add_argument("-o", "--output", help="output file (default: stdout)")
     canon.set_defaults(func=_cmd_canonicalize)
 
@@ -266,7 +262,8 @@ def build_parser() -> _Parser:
     bench.set_defaults(func=_cmd_bench)
 
     grad = sub.add_parser("gradcheck", help="compare autodiff against finite differences")
-    grad.add_argument("--config", help="JSON file of model settings")
+    grad.add_argument("--config", help="JSON file of model settings; fields it omits "
+                                       "keep their gradcheck defaults")
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("-o", "--output", help="write the JSON report here")
     grad.set_defaults(func=_cmd_gradcheck)

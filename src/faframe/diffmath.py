@@ -27,9 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonScalarLoss, ShapeMismatch
+from .errors import NonFiniteLoss, NonScalarLoss, ShapeMismatch
 
 CHECKPOINT_VERSION = 1
+NUMERICAL_STEP = 1e-5
 
 # Bytes of the first array in one row block of the swish chains (``swish``
 # and ``edge_gate``): a block's four to six arrays, at most about 1.5 MiB,
@@ -487,7 +488,7 @@ class AdamW:
 
     Moments use the usual bias correction; the decay term is applied to the
     parameter directly, scaled by the learning rate, never through the
-    moments.
+    moments. Every trainer updates through :meth:`minimize`.
     """
 
     def __init__(self, params, learning_rate=1e-3, betas=(0.9, 0.999), epsilon=1e-8,
@@ -506,6 +507,17 @@ class AdamW:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
+
+    def minimize(self, loss: DiffValue) -> float:
+        """``zero_grad``, ``backward`` and ``step`` on a scalar ``loss``; returns its
+        value. A non-finite loss raises NonFiniteLoss and touches nothing."""
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise NonFiniteLoss(f"loss evaluated to {value}")
+        self.zero_grad()
+        backward(loss)
+        self.step()
+        return value
 
     def step(self):
         # In place, in the order of p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)
@@ -571,8 +583,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return out
 
 
-def numerical_gradient(func, arrays, step=1e-5):
-    """Central-difference gradients of ``func(arrays) -> float`` per input."""
+def numerical_gradient(func, arrays):
+    """Central-difference gradients of ``func(arrays) -> float`` per input,
+    each element moved by ``NUMERICAL_STEP`` in place and put back."""
     grads = []
     for array in arrays:
         grad = np.zeros_like(array)
@@ -580,11 +593,11 @@ def numerical_gradient(func, arrays, step=1e-5):
         gflat = grad.ravel()
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + NUMERICAL_STEP
             up = func(arrays)
-            flat[i] = original - step
+            flat[i] = original - NUMERICAL_STEP
             down = func(arrays)
             flat[i] = original
-            gflat[i] = (up - down) / (2.0 * step)
+            gflat[i] = (up - down) / (2.0 * NUMERICAL_STEP)
         grads.append(grad)
     return grads

@@ -26,7 +26,7 @@ from itertools import permutations, product
 import numpy as np
 
 from . import diffmath as dm
-from .errors import DegenerateAngle, NonFiniteLoss
+from .errors import DegenerateAngle
 from .faenet import FAENetConfig, FAENetModel, forward, training_forward
 from .geometry import E3, AtomicSystem, apply_transform, normalize_group, random_transform
 
@@ -312,12 +312,7 @@ def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
                     labels.append(label)
             energies, _ = training_forward(model, systems, fa_mode, group, rng, False)
             targets = dm.constant(np.array(labels, dtype=np.float64)[:, None])
-            loss = dm.binary_cross_entropy_with_logits(energies, targets)
-            if not np.isfinite(loss.data):
-                raise NonFiniteLoss(f"benchmark loss evaluated to {loss.data}")
-            optimizer.zero_grad()
-            dm.backward(loss)
-            optimizer.step()
+            optimizer.minimize(dm.binary_cross_entropy_with_logits(energies, targets))
         correct = 0
         total = 0
         for label, base in enumerate(instance.systems):

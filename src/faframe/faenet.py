@@ -28,7 +28,7 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
-from .errors import EmptyBatch, NonFiniteLoss, NoForcesRequested
+from .errors import EmptyBatch, NoForcesRequested
 from .frames import ViewPlan, plan_views
 from .geometry import E3, AtomicSystem, build_radius_graphs, positive_setting
 
@@ -217,7 +217,6 @@ class FAENetModel:
 
 class _Batch(NamedTuple):
     z_index: np.ndarray
-    prop_rows: np.ndarray | None
     edge_features: np.ndarray
     src: dm.Segments
     dst: dm.Segments
@@ -261,13 +260,8 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
     atom_shift = view_atoms[:-1].repeat(edges)
     rotated = [graphs[index].rel_vectors @ rotation
                for index, rotation in zip(plan.sample, plan.rotation)]
-    z_index = numbers.take(atom_input) - 1
-    prop_rows = None
-    if config.property_table is not None:
-        prop_rows = config.property_table[z_index]
     return _Batch(
-        z_index=z_index,
-        prop_rows=prop_rows,
+        z_index=numbers.take(atom_input) - 1,
         edge_features=np.concatenate([np.concatenate(rotated), radial.take(edge_input, axis=0)],
                                      axis=1),
         src=dm.segments(np.concatenate([g.src for g in graphs]).take(edge_input) + atom_shift),
@@ -288,7 +282,6 @@ def _views(batch: _Batch, start: int, stop: int) -> _Batch:
     e0, e1 = batch.view_edges[start], batch.view_edges[stop]
     return _Batch(
         z_index=batch.z_index[a0:a1],
-        prop_rows=None if batch.prop_rows is None else batch.prop_rows[a0:a1],
         edge_features=batch.edge_features[e0:e1],
         src=batch.src.window(e0, e1, a0),
         dst=batch.dst.window(e0, e1, a0),
@@ -326,13 +319,11 @@ def _two_layer(params, prefix, x: DiffValue) -> DiffValue:
 def _embed_arrays(model: FAENetModel, batch: _Batch) -> tuple[DiffValue, DiffValue]:
     params = model.params
     h0 = dm.gather_rows(params["atom_embedding"], batch.z_index)
-    if batch.prop_rows is not None:
-        projected = dm.matmul(dm.constant(batch.prop_rows), params["property_projection"])
+    table = model.config.property_table
+    if table is not None:
+        projected = dm.matmul(dm.constant(table[batch.z_index]), params["property_projection"])
         h0 = dm.concat([h0, projected], axis=1)
-    edges = dm.constant(batch.edge_features)
-    first = dm.swish(dm.add(dm.matmul(edges, params["edge_mlp.w1"]), params["edge_mlp.b1"]))
-    e = dm.add(dm.matmul(first, params["edge_mlp.w2"]), params["edge_mlp.b2"])
-    return h0, e
+    return h0, _two_layer(params, "edge_mlp", dm.constant(batch.edge_features))
 
 
 def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffValue,
@@ -454,14 +445,30 @@ def _average_views(model: FAENetModel, plan: ViewPlan, batch: _Batch,
     return energy, dm.segment_sum(rows, batch.atom_input, batch.num_input_atoms)
 
 
+def _loss(samples: Sequence[TrainSample], energy: DiffValue, forces: DiffValue | None,
+          energy_coeff: float, force_coeff: float) -> DiffValue:
+    """``energy_coeff * MSE(energy) + force_coeff * MSE(forces)`` against the
+    samples' targets; the force term only when ``forces`` is given."""
+    energy_targets = dm.constant(np.array([[s.energy] for s in samples]))
+    loss = dm.mul(dm.mse_loss(energy, energy_targets), dm.constant(np.asarray(energy_coeff)))
+    if forces is not None:
+        force_targets = dm.constant(np.concatenate([s.forces for s in samples], axis=0))
+        force_loss = dm.mul(dm.mse_loss(forces, force_targets),
+                            dm.constant(np.asarray(force_coeff)))
+        loss = dm.add(loss, force_loss)
+    return loss
+
+
 def train_step(model: FAENetModel, batch: list, optimizer: dm.AdamW, *,
                energy_coeff: float = 1.0, force_coeff: float = 0.0,
                fa_mode: str = "stochastic", group: str = E3,
                rng: np.random.Generator | None = None) -> float:
     """One optimization step on a batch of (system, energy, forces) samples.
 
-    The loss is ``energy_coeff * MSE(energy) + force_coeff * MSE(forces)``.
-    A non-finite loss raises NonFiniteLoss before any parameter is touched.
+    The loss is :func:`_loss`, ``energy_coeff * MSE(energy) + force_coeff *
+    MSE(forces)``, the one :func:`run_gradient_check` checks. It is applied by
+    :meth:`~faframe.diffmath.AdamW.minimize`: a non-finite loss raises
+    NonFiniteLoss before any parameter is touched.
     """
     samples = [s if isinstance(s, TrainSample) else TrainSample(*s) for s in batch]
     want_forces = force_coeff != 0.0
@@ -474,22 +481,7 @@ def train_step(model: FAENetModel, batch: list, optimizer: dm.AdamW, *,
 
     systems = [s.system for s in samples]
     energy, forces = training_forward(model, systems, fa_mode, group, rng, want_forces)
-
-    energy_targets = dm.constant(np.array([[s.energy] for s in samples]))
-    loss = dm.mul(dm.mse_loss(energy, energy_targets), dm.constant(np.asarray(energy_coeff)))
-    if want_forces:
-        force_targets = dm.constant(np.concatenate([s.forces for s in samples], axis=0))
-        force_loss = dm.mul(dm.mse_loss(forces, force_targets),
-                            dm.constant(np.asarray(force_coeff)))
-        loss = dm.add(loss, force_loss)
-
-    loss_value = float(loss.data)
-    if not np.isfinite(loss_value):
-        raise NonFiniteLoss(f"loss evaluated to {loss_value}")
-    optimizer.zero_grad()
-    dm.backward(loss)
-    optimizer.step()
-    return loss_value
+    return optimizer.minimize(_loss(samples, energy, forces, energy_coeff, force_coeff))
 
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -573,20 +565,19 @@ def _relative_error(analytic: np.ndarray, numerical: np.ndarray) -> float:
     return float(np.abs(analytic - numerical).max(initial=0.0) / scale)
 
 
-def _check_case(inputs, builder, step=1e-5) -> float:
+def _check_case(inputs, builder) -> float:
+    """Worst relative error of tape against central-difference gradients over ``inputs``."""
     values = [DiffValue(np.array(arr, dtype=np.float64)) for arr in inputs]
     loss = builder(values)
     dm.backward(loss)
-    analytic = [
-        v.grad if v.grad is not None else np.zeros_like(v.data) for v in values
-    ]
+    analytic = [v.grad if v.grad is not None else np.zeros_like(v.data) for v in values]
     arrays = [v.data for v in values]
 
     def evaluate(current):
         fresh = [DiffValue(arr.copy()) for arr in current]
         return float(builder(fresh).data)
 
-    numerical = dm.numerical_gradient(evaluate, arrays, step=step)
+    numerical = dm.numerical_gradient(evaluate, arrays)
     return max(_relative_error(a, n) for a, n in zip(analytic, numerical))
 
 
@@ -604,16 +595,15 @@ def _gradcheck_systems(rng: np.random.Generator) -> list[TrainSample]:
     return samples
 
 
-def run_gradient_check(config: FAENetConfig | None = None, seed: int = 0) -> dict:
+def run_gradient_check(config: FAENetConfig = GRADCHECK_CONFIG, seed: int = 0) -> dict:
     """Compare analytic gradients against central differences.
 
-    Checks every composite op on small random inputs, then the full
-    forward+loss against finite differences over all model parameters.
-    Returns a report dict with PASS/FAIL, the worst offender, and per-op
-    errors.
+    Checks every composite op on small random inputs, then, as case
+    ``full_forward_loss``, the full-mode forward and the training loss
+    :func:`_loss` (both coefficients 1) over all model parameters. Every
+    case runs through one finite-difference routine. Returns a report dict
+    with PASS/FAIL, the worst offender, and per-op errors.
     """
-    if config is None:
-        config = GRADCHECK_CONFIG
     rng = np.random.default_rng(seed)
     errors: dict[str, float] = {}
     for name, (inputs, builder) in _gradcheck_cases(rng).items():
@@ -622,29 +612,19 @@ def run_gradient_check(config: FAENetConfig | None = None, seed: int = 0) -> dic
     model = FAENetModel(config, rng)
     samples = _gradcheck_systems(rng)
     systems = [s.system for s in samples]
-    energy_targets = np.array([[s.energy] for s in samples])
-    force_targets = np.concatenate([s.forces for s in samples], axis=0)
-    want_forces = config.predict_forces
 
     # Full-frame views and graphs do not depend on parameters, so they are
     # prepared once; each loss evaluation reruns only the net.
     plan = plan_views(systems, "full", E3)
     batch = _make_batch(systems, plan, config)
+    names = list(model.params)
 
-    def build_loss():
-        energy, forces = _average_views(model, plan, batch, want_forces)
-        loss = dm.mse_loss(energy, dm.constant(energy_targets))
-        if want_forces:
-            loss = dm.add(loss, dm.mse_loss(forces, dm.constant(force_targets)))
-        return loss
+    def model_loss(values):
+        model.params = dict(zip(names, values))
+        energy, forces = _average_views(model, plan, batch, config.predict_forces)
+        return _loss(samples, energy, forces, 1.0, 1.0)
 
-    loss = build_loss()
-    dm.backward(loss)
-    params = list(model.params.values())
-    analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-    numerical = dm.numerical_gradient(lambda _: float(build_loss().data),
-                                      [p.data for p in params])
-    errors["full_forward_loss"] = max(_relative_error(a, n) for a, n in zip(analytic, numerical))
+    errors["full_forward_loss"] = _check_case([p.data for p in model.parameters()], model_loss)
 
     worst_op = max(errors, key=errors.get)
     max_err = errors[worst_op]

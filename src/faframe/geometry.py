@@ -262,6 +262,14 @@ def _haar_orthogonal(rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
+def with_det_sign(rotation: np.ndarray, sign: float) -> np.ndarray:
+    """``rotation``, or a copy with column 0 negated, whose determinant has the sign of ``sign``."""
+    if np.linalg.det(rotation) * sign < 0:
+        rotation = rotation.copy()
+        rotation[:, 0] = -rotation[:, 0]
+    return rotation
+
+
 def random_transform(group: str, rng: np.random.Generator) -> EuclideanTransform:
     """Sample a random transform from one of the supported groups.
 
@@ -275,10 +283,7 @@ def random_transform(group: str, rng: np.random.Generator) -> EuclideanTransform
     if group == E3:
         rotation = _haar_orthogonal(rng)
     elif group in (SE3, SO3):
-        rotation = _haar_orthogonal(rng)
-        if np.linalg.det(rotation) < 0:
-            rotation = rotation.copy()
-            rotation[:, 0] = -rotation[:, 0]
+        rotation = with_det_sign(_haar_orthogonal(rng), 1.0)
         if group == SO3:
             translation = np.zeros(3)
     elif group == T3:

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 try:
@@ -14,8 +15,10 @@ except ModuleNotFoundError:  # Python 3.10
 import numpy as np
 import pytest
 
+from faframe import cli
 from faframe import diffmath as dm
 from faframe.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, main
+from faframe.faenet import GRADCHECK_CONFIG
 from faframe.frames import compute_frame
 from faframe.geometry import E3, AtomicSystem, apply_transform, random_transform
 from faframe.xyz import format_xyz, read_xyz_blocks
@@ -365,6 +368,28 @@ def test_gradcheck_detects_wrong_gradients(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert "FAIL" in captured.out
+
+
+@pytest.mark.parametrize("fields", [{}, {"num_interactions": 1}])
+def test_gradcheck_config_file_fields_fall_back_to_the_gradcheck_config(
+        tmp_path, monkeypatch, capsys, fields):
+    # Flag > file > GRADCHECK_CONFIG, as bench falls back to its own
+    # defaults; only the config reaching the check is looked at.
+    seen = []
+
+    def capture(config, seed):
+        seen.append(config)
+        return {"status": "PASS", "max_rel_err": 0.0, "worst_op": "add",
+                "tolerance": 1e-4, "ops": {"add": 0.0}}
+
+    monkeypatch.setattr(cli, "run_gradient_check", capture)
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(fields))
+    assert main(["gradcheck", "--config", str(path)]) == EXIT_OK
+    assert main(["gradcheck"]) == EXIT_OK
+    capsys.readouterr()
+    assert seen[0] == replace(GRADCHECK_CONFIG, **fields)
+    assert seen[1] == GRADCHECK_CONFIG
 
 
 # ------------------------------------------------------------------- general

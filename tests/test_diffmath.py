@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faframe import diffmath as dm
-from faframe.errors import NonScalarLoss, ShapeMismatch
+from faframe.errors import NonFiniteLoss, NonScalarLoss, ShapeMismatch
 
 
 def scalar(x):
@@ -587,6 +587,58 @@ def test_adamw_in_place_step_is_bitwise_the_temporary_formula():
             assert p.data.tobytes() == r.data.tobytes()
             assert m.tobytes() == m_ref.tobytes()
             assert v.tobytes() == v_ref.tobytes()
+
+
+def _quadratic_problem(seed):
+    """Parameters and a loss builder over them: sum((x @ w + b)^2)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((5, 3))
+    params = [dm.DiffValue(rng.standard_normal((3, 4))), dm.DiffValue(rng.standard_normal(4))]
+
+    def build():
+        y = dm.add(dm.matmul(x, params[0]), params[1])
+        return dm.sum_all(dm.mul(y, y))
+
+    return params, build
+
+
+def test_adamw_minimize_is_bitwise_zero_grad_backward_step():
+    params, build = _quadratic_problem(40)
+    reference, build_reference = _quadratic_problem(40)
+    opt = dm.AdamW(params, learning_rate=1e-2, weight_decay=0.1)
+    ref = dm.AdamW(reference, learning_rate=1e-2, weight_decay=0.1)
+    for _ in range(4):
+        loss = build()
+        value = opt.minimize(loss)
+        reference_loss = build_reference()
+        ref.zero_grad()
+        dm.backward(reference_loss)
+        ref.step()
+        assert value == float(reference_loss.data)
+    assert opt.step_count == ref.step_count == 4
+    for p, r, m, m_ref, v, v_ref in zip(params, reference, opt._m, ref._m, opt._v, ref._v):
+        assert p.data.tobytes() == r.data.tobytes()
+        assert p.grad.tobytes() == r.grad.tobytes()
+        assert m.tobytes() == m_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adamw_minimize_rejects_a_non_finite_loss_untouched(bad):
+    params, build = _quadratic_problem(41)
+    opt = dm.AdamW(params, learning_rate=1e-2, weight_decay=0.1)
+    opt.minimize(build())  # moments, step count and gradients are nonzero
+    state = [(p.data.copy(), p.grad.copy(), m.copy(), v.copy())
+             for p, m, v in zip(params, opt._m, opt._v)]
+    with pytest.raises(NonFiniteLoss) as err:
+        opt.minimize(dm.mul(build(), scalar(bad)))
+    assert str(err.value).startswith("loss evaluated to ")
+    assert opt.step_count == 1
+    for (data, grad, m, v), p, m_now, v_now in zip(state, params, opt._m, opt._v):
+        assert p.data.tobytes() == data.tobytes()
+        assert p.grad.tobytes() == grad.tobytes()
+        assert m_now.tobytes() == m.tobytes()
+        assert v_now.tobytes() == v.tobytes()
 
 
 # ------------------------------------------------------------- rotate_rows

@@ -671,6 +671,24 @@ def test_training_is_bitwise_the_zero_filled_unfused_tape(monkeypatch):
     assert params == reference
 
 
+def test_gradient_check_differentiates_the_training_loss(monkeypatch):
+    # A loss whose backward is off by 1% is caught: the model case of the
+    # check runs through the very loss train_step minimizes.
+    true_loss = faenet._loss
+
+    def skewed_loss(*args):
+        loss = true_loss(*args)
+        inner = loss._backward
+        loss._backward = lambda grad: inner(grad * 1.01)
+        return loss
+
+    monkeypatch.setattr(faenet, "_loss", skewed_loss)
+    report = faenet.run_gradient_check()
+    assert report["status"] == "FAIL"
+    assert report["worst_op"] == "full_forward_loss"
+    assert report["max_rel_err"] == pytest.approx(0.01, rel=1e-3)
+
+
 def test_data_augment_training_runs():
     rng = np.random.default_rng(19)
     model = FAENetModel(TINY, rng)

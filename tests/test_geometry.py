@@ -25,6 +25,7 @@ from faframe.geometry import (
     build_radius_graph,
     build_radius_graphs,
     random_transform,
+    with_det_sign,
 )
 
 
@@ -276,6 +277,20 @@ def test_group_properties_of_samples():
         np.testing.assert_allclose(g.rotation[2], [0, 0, 1], atol=1e-12)
         np.testing.assert_allclose(g.rotation[:, 2], [0, 0, 1], atol=1e-12)
         assert g.det == pytest.approx(1.0, abs=1e-10)
+
+
+def test_with_det_sign_flips_column_zero_only_when_the_sign_is_wrong():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        rotation = random_transform(E3, rng).rotation
+        for sign in (1.0, -1.0):
+            out = with_det_sign(rotation, sign)
+            assert np.linalg.det(out) * sign > 0
+            if np.linalg.det(rotation) * sign > 0:
+                assert out is rotation
+            else:
+                np.testing.assert_array_equal(out[:, 0], -rotation[:, 0])
+                np.testing.assert_array_equal(out[:, 1:], rotation[:, 1:])
 
 
 def test_e3_determinant_balance():
