@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import json
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,12 +33,14 @@ from .errors import NonFiniteLoss, NonScalarLoss, ShapeMismatch
 CHECKPOINT_VERSION = 1
 NUMERICAL_STEP = 1e-5
 
-# Bytes of the first array in one row block of the swish chains (``swish``
-# and ``edge_gate``): a block's four to six arrays, at most about 1.5 MiB,
-# stay in one core's 2 MiB L2 while its ufuncs run, and the gate's gathered
-# temporaries are one block, not E x f. On 3000 x 480 gates (2-vCPU VM),
-# 128 KiB to 1 MiB blocks and one whole-array pass timed within about 6%.
-SWISH_BLOCK_BYTES = 256 * 1024
+# Bytes of the first array in one row block, for every op that works by
+# row block: the swish chains (``swish`` and ``edge_gate``), ``message_sum``
+# and the scatters of ``_scatter_rows``. A swish block's four to six arrays,
+# at most about 1.5 MiB, stay in one core's 2 MiB L2 while its ufuncs run,
+# and gathered or permuted temporaries are one block, not E x f. On
+# 3000 x 480 gates (2-vCPU VM), 128 KiB to 1 MiB blocks and one whole-array
+# pass timed within about 6%.
+ROW_BLOCK_BYTES = 256 * 1024
 
 _recording = contextvars.ContextVar("diffmath_recording", default=True)
 
@@ -232,19 +235,53 @@ def segments(ids) -> Segments:
     return Segments(ids, order, starts, ordered[starts])
 
 
-def _scatter_rows(values: np.ndarray, index: Segments, n: int) -> np.ndarray:
-    """``out[i]`` is the sum of the rows ``values[index.ids == i]``; absent ids give 0.
+def _run_blocks(index: Segments, row_bytes: int):
+    """Cut the sorted rows of ``index`` into blocks of whole runs.
 
-    ``np.add.reduceat`` sums each run of equal ids in stable order, one run
-    per id present, so no run is empty.
+    Yields ``(p0, p1, r0, r1)``: the sorted positions ``p0:p1``, which hold
+    runs ``r0:r1`` whole. A block closes at the first run start past about
+    ``ROW_BLOCK_BYTES`` of rows, so one run longer than that is one block.
     """
-    out = np.zeros((n,) + values.shape[1:])
+    size, runs = index.ids.size, index.starts.size
+    step = max(ROW_BLOCK_BYTES // max(row_bytes, 1), 1)
+    if size <= step:
+        yield 0, size, 0, runs
+        return
+    cuts = np.unique(np.searchsorted(index.starts, np.arange(step, size, step)))
+    bounds = [0, *cuts[cuts < runs].tolist(), runs]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        yield int(index.starts[r0]), int(index.starts[r1]) if r1 < runs else size, r0, r1
+
+
+def _sum_runs(index: Segments, n: int, row_shape: tuple, rows) -> np.ndarray:
+    """``out[i]`` is the sum of the rows whose id is ``i``; absent ids give 0.
+
+    ``rows(picked)`` returns the rows at input positions ``picked``, a slice
+    or an index array, in that order. They are asked for one block of whole
+    runs at a time in sorted order, so a permuted or computed copy is one
+    block, not the whole array. ``np.add.reduceat`` sums each run in stable
+    order, one run per id present, so no run is empty and no sum depends on
+    the block size.
+    """
+    out = np.zeros((n,) + row_shape)
     if index.ids.size == 0:
         return out
-    if index.order is not None:
-        values = values[index.order]
-    out[index.heads] = np.add.reduceat(values, index.starts, axis=0)
+    for p0, p1, r0, r1 in _run_blocks(index, out.itemsize * math.prod(row_shape)):
+        picked = slice(p0, p1) if index.order is None else index.order[p0:p1]
+        out[index.heads[r0:r1]] = np.add.reduceat(rows(picked), index.starts[r0:r1] - p0, axis=0)
     return out
+
+
+def _scatter_rows(values: np.ndarray, index: Segments, n: int) -> np.ndarray:
+    """``out[i]`` is the sum of the rows ``values[index.ids == i]``; absent ids give 0."""
+    return _sum_runs(index, n, values.shape[1:], values.__getitem__)
+
+
+def _check_ids(index: Segments, n: int, what: str):
+    """Raise ValueError unless every id of ``index`` lies in ``[0, n)``."""
+    if index.heads.size and (index.heads[0] < 0 or index.heads[-1] >= n):
+        raise ValueError(f"{what} out of range: ids span [{index.heads[0]}, "
+                         f"{index.heads[-1]}], rows [0, {n})")
 
 
 def gather_rows(x, index) -> DiffValue:
@@ -266,13 +303,56 @@ def segment_sum(values, segment_ids, num_segments: int) -> DiffValue:
         raise ShapeMismatch(
             f"segment_ids shape {index.ids.shape} does not index {values.data.shape} rows"
         )
-    if index.heads.size and (index.heads[0] < 0 or index.heads[-1] >= num_segments):
-        raise ValueError("segment id out of range")
+    _check_ids(index, num_segments, "segment id")
 
     def backward(grad):
         values.accumulate_grad(grad[index.ids])
 
     return _node(_scatter_rows(values.data, index, num_segments), (values,), backward)
+
+
+def message_sum(gate, x, src, dst, num_segments: int) -> DiffValue:
+    """``segment_sum(gate * x[src], dst, num_segments)`` as one node.
+
+    ``gate`` has one row per entry of ``src`` and ``dst``, which are id
+    arrays or prepared :class:`Segments`. The messages are formed one block
+    of whole ``dst`` runs at a time and never kept, so the node holds no
+    edge-sized array of its own. Backward writes ``grad[dst] * x[src]`` into
+    one fresh array for ``gate`` and sums ``grad[dst] * gate`` into ``x``
+    over blocks of ``src`` runs. Each element meets the products and run
+    sums of the unfused ops, so every bit is theirs.
+    """
+    gate, x = _as_value(gate), _as_value(x)
+    src, dst = segments(src), segments(dst)
+    if not (gate.data.ndim == x.data.ndim == 2
+            and gate.data.shape == (src.ids.size, x.data.shape[1])
+            and dst.ids.size == src.ids.size):
+        raise ShapeMismatch(
+            f"message_sum needs (e,f) gates with an (n,f) table and e src and dst ids, got "
+            f"{gate.data.shape}, {x.data.shape}, {src.ids.size} src and {dst.ids.size} dst ids"
+        )
+    _check_ids(dst, num_segments, "segment id")
+    _check_ids(src, x.data.shape[0], "src id")
+
+    def messages(picked):
+        rows = x.data.take(src.ids[picked], axis=0)
+        return np.multiply(gate.data[picked], rows, out=rows)
+
+    def backward(grad):
+        def gate_rows(out, dst_ids, src_ids):
+            np.multiply(grad.take(dst_ids, axis=0), x.data.take(src_ids, axis=0), out=out)
+
+        def x_rows(picked):
+            rows = grad.take(dst.ids[picked], axis=0)
+            rows *= gate.data[picked]
+            return rows
+
+        gate_grad = np.empty(gate.data.shape)
+        _in_row_blocks(gate_rows, gate_grad, dst.ids, src.ids)
+        x.accumulate_grad(_sum_runs(src, x.data.shape[0], x.data.shape[1:], x_rows))
+        gate.accumulate_grad(gate_grad)
+
+    return _node(_sum_runs(dst, num_segments, x.data.shape[1:], messages), (gate, x), backward)
 
 
 def rotate_rows(x, matrices) -> DiffValue:
@@ -313,16 +393,16 @@ def sigmoid(x) -> DiffValue:
 def _in_row_blocks(chain, *arrays):
     """Run ``chain`` on consecutive row blocks of ``arrays``, each in L2.
 
-    Blocks hold about ``SWISH_BLOCK_BYTES`` of the first array; arrays that
+    Blocks hold about ``ROW_BLOCK_BYTES`` of the first array; arrays that
     fit in one block, 0-d ones included, go to ``chain`` whole. Every element
     meets the same ufuncs in either case, so its bits do not depend on the
     block size.
     """
     first = arrays[0]
-    if first.nbytes <= SWISH_BLOCK_BYTES:
+    if first.nbytes <= ROW_BLOCK_BYTES:
         chain(*arrays)
         return
-    step = max(SWISH_BLOCK_BYTES * len(first) // first.nbytes, 1)
+    step = max(ROW_BLOCK_BYTES * len(first) // first.nbytes, 1)
     for start in range(0, len(first), step):
         chain(*(array[start:start + step] for array in arrays))
 

@@ -187,6 +187,8 @@ def gen_rot_sym(length: int, angle: float | None = None) -> BenchmarkInstance:
         raise ValueError(f"ring length must be at least 2, got {length}")
     if angle is None:
         angle = math.pi / length
+    if not math.isfinite(angle):
+        raise ValueError(f"twist angle must be a finite number of radians, got {angle!r}")
     period = 2 * math.pi / length
     remainder = angle % period
     if min(remainder, period - remainder) < 1e-9:

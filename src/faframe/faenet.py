@@ -348,8 +348,7 @@ def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffVal
     else:
         gate = e
     transformed = dm.matmul(h, params[f"{prefix}.node_w"])
-    messages = dm.mul(gate, dm.gather_rows(transformed, src))
-    aggregated = dm.segment_sum(messages, dst, num_nodes)
+    aggregated = dm.message_sum(gate, transformed, src, dst, num_nodes)
     update = dm.swish(dm.add(dm.matmul(aggregated, params[f"{prefix}.update_w"]),
                              params[f"{prefix}.update_b"]))
     return dm.add(h, update)

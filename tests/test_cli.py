@@ -285,6 +285,16 @@ def test_bench_rejects_degenerate_ring(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("angle", ["inf", "nan"])
+def test_bench_rejects_a_non_finite_angle(capsys, angle):
+    code = main(["bench", "rotsym", "--L", "3", "--angle", angle, "--seeds", "1",
+                 "--epochs", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert f"twist angle must be a finite number of radians, got {angle}" in captured.err
+
+
 def test_bench_rejects_fewer_than_one_seed(capsys):
     code = main(["bench", "kchains", "--seeds", "0", "--epochs", "0"])
     captured = capsys.readouterr()

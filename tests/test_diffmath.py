@@ -170,6 +170,23 @@ def test_segment_sum_rejects_out_of_range_ids():
         dm.segment_sum(dm.DiffValue(np.ones((2, 1))), np.array([0, 5]), 3)
 
 
+@pytest.mark.parametrize("block_rows", [1, 4, 1000])
+def test_blocked_scatter_is_bitwise_permute_then_reduceat(block_rows, monkeypatch):
+    # Unsorted ids with runs longer and shorter than a block, and absent ids.
+    rng = np.random.default_rng(block_rows)
+    ids = rng.integers(0, 17, size=200)
+    ids[ids == 5] = 3
+    values = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+    monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", block_rows * 3 * 8)
+    index = dm.segments(ids)
+    assert index.order is not None
+    expected = _sort_and_scatter(values, ids, 19)
+    assert dm._scatter_rows(values, index, 19).tobytes() == expected.tobytes()
+    sorted_ids = np.sort(ids)
+    assert (dm._scatter_rows(values, dm.segments(sorted_ids), 19).tobytes()
+            == _sort_and_scatter(values, sorted_ids, 19).tobytes())
+
+
 # ----------------------------------------------------------------- edge_gate
 
 
@@ -202,8 +219,8 @@ def test_edge_gate_is_bitwise_the_unfused_composition(case, monkeypatch):
     weights = rng.standard_normal((len(dst), 4))
     expected = _gate_grads(_unfused_gate, arrays, dst, src, weights)
     # One row per block as well, so the chains run over many blocks.
-    for block_bytes in (dm.SWISH_BLOCK_BYTES, 8 * 4):
-        monkeypatch.setattr(dm, "SWISH_BLOCK_BYTES", block_bytes)
+    for block_bytes in (dm.ROW_BLOCK_BYTES, 8 * 4):
+        monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", block_bytes)
         for a_index, b_index in ((dst, src), (dm.segments(dst), dm.segments(src))):
             got = _gate_grads(dm.edge_gate, arrays, a_index, b_index, weights)
             for g, e in zip(got, expected):
@@ -256,6 +273,104 @@ def test_edge_gate_rejects_mismatched_rows():
         dm.edge_gate(x, dm.DiffValue(np.zeros((2, 3))), [0, 1, 1], table, [0, 1, 1])
 
 
+# --------------------------------------------------------------- message_sum
+
+
+def _unfused_message_sum(gate, x, src, dst, num_segments):
+    return dm.segment_sum(dm.mul(gate, dm.gather_rows(x, src)), dst, num_segments)
+
+
+def _message_grads(message_sum, arrays, src, dst, num_segments, weights):
+    """Output and the gradients of ``gate`` and ``x`` under a weighted sum."""
+    gate, x = (dm.DiffValue(array.copy()) for array in arrays)
+    out = message_sum(gate, x, src, dst, num_segments)
+    dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))
+    return [out.data, gate.grad, x.grad]
+
+
+MESSAGE_CASES = dict(GATE_CASES, no_edges=(np.zeros(0, np.int64), np.zeros(0, np.int64), 3))
+
+
+@pytest.mark.parametrize("case", sorted(MESSAGE_CASES))
+def test_message_sum_is_bitwise_the_unfused_composition(case, monkeypatch):
+    dst, src, n = MESSAGE_CASES[case]
+    rng = np.random.default_rng(len(dst) + 10)
+    arrays = [rng.standard_normal((len(dst), 4)), rng.standard_normal((n, 4))]
+    weights = rng.standard_normal((n, 4))
+    expected = _message_grads(_unfused_message_sum, arrays, src, dst, n, weights)
+    # One row per block as well, so every loop runs over many blocks.
+    for block_bytes in (dm.ROW_BLOCK_BYTES, 8 * 4):
+        monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", block_bytes)
+        for src_index, dst_index in ((src, dst), (dm.segments(src), dm.segments(dst))):
+            got = _message_grads(dm.message_sum, arrays, src_index, dst_index, n, weights)
+            for g, e in zip(got, expected):
+                assert g.tobytes() == e.tobytes()
+    if case == "isolated":
+        assert not expected[0][2:4].any() and not expected[2][2:4].any()
+
+
+def test_message_sum_over_a_window_is_bitwise_the_unfused_composition(monkeypatch):
+    # Two disjoint graphs in one batch; the second is summed through windows.
+    rng = np.random.default_rng(7)
+    dst = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 9)])
+    src = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 9)])
+    src_index = dm.segments(src).window(5, 14, 3)
+    dst_index = dm.segments(dst).window(5, 14, 3)
+    arrays = [rng.standard_normal((9, 3)), rng.standard_normal((4, 3))]
+    weights = rng.standard_normal((4, 3))
+    expected = _message_grads(_unfused_message_sum, arrays, src[5:] - 3, dst[5:] - 3, 4, weights)
+    for block_bytes in (dm.ROW_BLOCK_BYTES, 8 * 3):
+        monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", block_bytes)
+        got = _message_grads(dm.message_sum, arrays, src_index, dst_index, 4, weights)
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
+
+def test_message_sum_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    src, dst = np.array([2, 2, 0, 1, 1, 0]), np.array([1, 0, 1, 3, 3, 0])
+    arrays = [rng.standard_normal((6, 3)), rng.standard_normal((3, 3))]
+    weights = rng.standard_normal((4, 3))
+
+    def loss(gate, x, src, dst):
+        out = dm.message_sum(gate, x, src, dst, 4)
+        return dm.sum_all(dm.mul(dm.mul(out, out), dm.constant(weights)))
+
+    def run(current):
+        return float(loss(*(dm.DiffValue(array) for array in current),
+                          dm.segments(src), dm.segments(dst)).data)
+
+    values = [dm.DiffValue(array.copy()) for array in arrays]
+    dm.backward(loss(*values, src, dst))
+    numeric = dm.numerical_gradient(run, arrays)
+    for value, num in zip(values, numeric):
+        assert np.abs(value.grad - num).max() / max(np.abs(num).max(), 1.0) < 1e-7
+
+
+def test_message_sum_rejects_mismatched_shapes():
+    gate, x = dm.DiffValue(np.zeros((3, 2))), dm.DiffValue(np.zeros((4, 2)))
+    for args in ((gate, x, [0, 1], [0, 1, 1]),
+                 (gate, x, [0, 1, 1], [0, 1]),
+                 (gate, dm.DiffValue(np.zeros((4, 3))), [0, 1, 1], [0, 1, 1]),
+                 (dm.DiffValue(np.zeros(3)), dm.DiffValue(np.zeros(4)), [0, 1, 1], [0, 1, 1])):
+        with pytest.raises(ShapeMismatch, match="message_sum"):
+            dm.message_sum(*args, 2)
+
+
+@pytest.mark.parametrize("src, dst, what", [
+    ([0, 1, 2], [0, 2, 1], "segment id"),
+    ([0, 1, 2], [0, -1, 1], "segment id"),
+    ([0, 4, 2], [0, 1, 1], "src id"),
+    ([0, -1, 2], [0, 1, 1], "src id"),
+])
+def test_message_sum_rejects_out_of_range_ids(src, dst, what):
+    # Never an IndexError from a gather, nor a negative id wrapping round.
+    gate, x = dm.DiffValue(np.ones((3, 2))), dm.DiffValue(np.ones((4, 2)))
+    for src_index, dst_index in ((src, dst), (dm.segments(src), dm.segments(dst))):
+        with pytest.raises(ValueError, match=f"{what} out of range"):
+            dm.message_sum(gate, x, src_index, dst_index, 2)
+
+
 def test_swish_over_row_blocks_is_bitwise_one_pass(monkeypatch):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((11, 5)) * 30.0
@@ -264,7 +379,7 @@ def test_swish_over_row_blocks_is_bitwise_one_pass(monkeypatch):
     expected_out = x * sig
     expected_grad = (1.0 - sig) * expected_out + sig
     expected_grad *= weights
-    monkeypatch.setattr(dm, "SWISH_BLOCK_BYTES", 2 * 8 * 5)  # two rows a block
+    monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", 2 * 8 * 5)  # two rows a block
     value = dm.DiffValue(x)
     out = dm.swish(value)
     dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))

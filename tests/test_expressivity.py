@@ -159,6 +159,14 @@ def test_rot_sym_rejects_period_multiples():
         gen_rot_sym(1)
 
 
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+def test_rot_sym_rejects_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="angle") as excinfo:
+        gen_rot_sym(3, angle=angle)
+    assert not isinstance(excinfo.value, DegenerateAngle)
+    assert repr(angle) in str(excinfo.value)
+
+
 def test_rot_sym_default_angle_is_half_period():
     instance = gen_rot_sym(5)
     expected = _ring_angle(instance.system_b.positions[0]) - _ring_angle(

@@ -644,6 +644,19 @@ def _unfused_edge_gate(x, a, a_index, b, b_index):
     return dm.swish(dm.add(dm.add(x, dm.gather_rows(a, a_index)), dm.gather_rows(b, b_index)))
 
 
+def _unfused_message_sum(gate, x, src, dst, num_segments):
+    return dm.segment_sum(dm.mul(gate, dm.gather_rows(x, src)), dst, num_segments)
+
+
+def _whole_array_scatter(values, index, n):
+    out = np.zeros((n,) + values.shape[1:])
+    if index.ids.size:
+        if index.order is not None:
+            values = values[index.order]
+        out[index.heads] = np.add.reduceat(values, index.starts, axis=0)
+    return out
+
+
 def _two_force_steps(seed):
     config = FAENetConfig(hidden_channels=8, num_filters=8, num_gaussians=4, num_interactions=2,
                           cutoff=4.0, max_neighbors=8, predict_forces=True, force_head_hidden=6)
@@ -659,13 +672,16 @@ def _two_force_steps(seed):
 
 
 def test_training_is_bitwise_the_zero_filled_unfused_tape(monkeypatch):
-    # Owned gradients, the fused gate and blocked swish chains (a few rows per
-    # block here) change no bit of the loss or of any parameter.
-    monkeypatch.setattr(dm, "SWISH_BLOCK_BYTES", 3 * 8 * 8)
+    # Owned gradients, the fused gate and message sum, and blocked swish
+    # chains and scatters (a few rows per block here) change no bit of the
+    # loss or of any parameter.
+    monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", 3 * 8 * 8)
     losses, params = _two_force_steps(31)
-    monkeypatch.setattr(dm, "SWISH_BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", 1 << 40)
     monkeypatch.setattr(dm.DiffValue, "accumulate_grad", _zero_fill_accumulate)
     monkeypatch.setattr(dm, "edge_gate", _unfused_edge_gate)
+    monkeypatch.setattr(dm, "message_sum", _unfused_message_sum)
+    monkeypatch.setattr(dm, "_scatter_rows", _whole_array_scatter)
     reference_losses, reference = _two_force_steps(31)
     assert losses == reference_losses
     assert params == reference
