@@ -22,9 +22,11 @@ from .geometry import (
     EuclideanTransform,
     RadiusGraph,
     apply_transform,
+    apply_transforms,
     build_radius_graph,
     build_radius_graphs,
     random_transform,
+    random_transforms,
 )
 from .frames import (
     CanonicalView,

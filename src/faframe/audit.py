@@ -27,10 +27,9 @@ from .geometry import (
     SE3,
     SO3,
     AtomicSystem,
-    EuclideanTransform,
-    apply_transform,
+    apply_transforms,
     normalize_group,
-    random_transform,
+    random_transforms,
     with_det_sign,
 )
 
@@ -70,10 +69,13 @@ class SymmetryReport:
                 "units": "meV for energy metrics, meV/angstrom for force metrics"}
 
 
-def _random_reflection(rng: np.random.Generator) -> EuclideanTransform:
-    """A rigid motion whose orthogonal part has det -1."""
-    transform = random_transform(E3, rng)
-    return EuclideanTransform(with_det_sign(transform.rotation, -1.0), transform.translation)
+def _probe_panel(rng: np.random.Generator, num_transforms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The audit's motions: ``num_transforms`` SO3 rotations (det +1), then as
+    many E3 motions with column 0 negated where needed to make det -1."""
+    rotations, translations = random_transforms(SO3, rng, num_transforms)
+    reflections, shifts = random_transforms(E3, rng, num_transforms)
+    return (np.concatenate([rotations, with_det_sign(reflections, -1.0)]),
+            np.concatenate([translations, shifts]))
 
 
 def _representation(system: AtomicSystem, frame: Frame | None) -> np.ndarray:
@@ -132,10 +134,7 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
     # One shared transform panel, rotations then reflections: every system
     # is probed with the same motions, so the means do not depend on system
     # order.
-    panel = [random_transform(SO3, rng) for _ in range(num_transforms)]
-    panel += [_random_reflection(rng) for _ in range(num_transforms)]
-    assert all(t.det > 0 for t in panel[:num_transforms])
-    assert all(t.det < 0 for t in panel[num_transforms:])
+    rotations, translations = _probe_panel(rng, num_transforms)
 
     # Per probe, in eV: |energy shift| and the max-norm force residual.
     shifts: list[float] = []
@@ -150,7 +149,7 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
             degenerate_count += 1
             continue
         base = forward(model, system, fa_mode=fa_mode, group=group, rng=rng)
-        moved = [apply_transform(system, transform) for transform in panel]
+        moved = apply_transforms(system, rotations, translations)
         if pos:
             # The representations draw nothing from rng, so checking them
             # ahead of the predictions leaves the rng stream unchanged.
@@ -158,11 +157,11 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
             reference = _representation(system, frame if canonical else None)
             pos = int(all(_multisets_match(reference, _representation(copy, copy_frame))
                           for copy, copy_frame in zip(moved, probe_frames)))
-        for transform, copy in zip(panel, moved):
+        for rotation, copy in zip(rotations, moved):
             prediction = forward(model, copy, fa_mode=fa_mode, group=group, rng=rng)
             shifts.append(abs(prediction.energy - base.energy))
             if force_metrics:
-                expected = base.forces @ transform.rotation.T
+                expected = base.forces @ rotation.T
                 residuals.append(np.abs(prediction.forces - expected).max())
         if targets is not None and abs(targets[index]) > 1e-12:
             # this system's rotation probes

@@ -278,16 +278,17 @@ def _scatter_rows(values: np.ndarray, index: Segments, n: int) -> np.ndarray:
 
 
 def _check_ids(index: Segments, n: int, what: str):
-    """Raise ValueError unless every id of ``index`` lies in ``[0, n)``."""
+    """Raise ShapeMismatch unless every id of ``index`` lies in ``[0, n)``."""
     if index.heads.size and (index.heads[0] < 0 or index.heads[-1] >= n):
-        raise ValueError(f"{what} out of range: ids span [{index.heads[0]}, "
-                         f"{index.heads[-1]}], rows [0, {n})")
+        raise ShapeMismatch(f"{what} out of range: ids span [{index.heads[0]}, "
+                            f"{index.heads[-1]}], rows [0, {n})")
 
 
 def gather_rows(x, index) -> DiffValue:
     """Rows ``x[index]``; ``index`` is an id array or a prepared :class:`Segments`."""
     x = _as_value(x)
     index = segments(index)
+    _check_ids(index, x.data.shape[0], "row id")
 
     def backward(grad):
         x.accumulate_grad(_scatter_rows(grad, index, x.data.shape[0]))
@@ -456,6 +457,8 @@ def edge_gate(x, a, a_index, b, b_index) -> DiffValue:
             f"edge_gate needs (e,f) rows with (n,f) tables indexed by e ids, got "
             f"{x.data.shape}, {a.data.shape}[{a_index.ids.size}], {b.data.shape}[{b_index.ids.size}]"
         )
+    _check_ids(a_index, a.data.shape[0], "a id")
+    _check_ids(b_index, b.data.shape[0], "b id")
 
     def rows(x_rows, a_ids, b_ids, sig, out):
         pre = np.add(x_rows, a.data.take(a_ids, axis=0))

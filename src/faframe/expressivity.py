@@ -28,7 +28,15 @@ import numpy as np
 from . import diffmath as dm
 from .errors import DegenerateAngle
 from .faenet import FAENetConfig, FAENetModel, forward, training_forward
-from .geometry import E3, AtomicSystem, apply_transform, normalize_group, random_transform
+from .geometry import (
+    E3,
+    AtomicSystem,
+    apply_transform,
+    apply_transforms,
+    normalize_group,
+    random_transform,
+    random_transforms,
+)
 
 FAMILIES = ("kchains", "rotsym")
 
@@ -304,19 +312,22 @@ def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
         model = FAENetModel(config, rng)
         optimizer = dm.AdamW(model.parameters(), learning_rate=LEARNING_RATE)
         for _ in range(epochs):
+            # Every class's copies in one draw, in the order class by class.
+            rotations, translations = random_transforms(
+                E3, rng, len(instance.systems) * train_transforms)
             systems = []
             labels = []
             for label, base in enumerate(instance.systems):
-                systems.append(base)
-                labels.append(label)
-                for _ in range(train_transforms):
-                    systems.append(apply_transform(base, random_transform(E3, rng)))
-                    labels.append(label)
+                part = slice(label * train_transforms, (label + 1) * train_transforms)
+                systems += [base, *apply_transforms(base, rotations[part], translations[part])]
+                labels += [label] * (train_transforms + 1)
             energies, _ = training_forward(model, systems, fa_mode, group, rng, False)
             targets = dm.constant(np.array(labels, dtype=np.float64)[:, None])
             optimizer.minimize(dm.binary_cross_entropy_with_logits(energies, targets))
         correct = 0
         total = 0
+        # One copy at a time: each copy's motion and its stochastic frame
+        # draw alternate in the rng stream.
         for label, base in enumerate(instance.systems):
             for _ in range(test_transforms):
                 moved = apply_transform(base, random_transform(E3, rng))

@@ -52,7 +52,7 @@ from .geometry import (
     EuclideanTransform,
     check_orthogonal,
     normalize_group,
-    random_transform,
+    random_transforms,
 )
 
 FRAME_GROUPS = (E3, SE3, Z_AXIS_2D)
@@ -224,7 +224,8 @@ def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = 
     elif fa_mode == "data_augment":
         # A motion X @ U.T + t turns vectors by U.T; its translation does
         # not reach vectors.
-        stacks = [random_transform(group, rng).rotation.T[None] for _ in systems]
+        rotations, _ = random_transforms(group, rng, len(systems))
+        stacks = list(np.swapaxes(rotations, 1, 2)[:, None])
     else:
         stacks = [frame.rotations for frame in compute_frames(systems, group)]
         if fa_mode == "stochastic":

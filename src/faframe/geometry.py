@@ -10,6 +10,12 @@ Conventions used throughout the package:
 - a radius-graph edge's offset is an integer triple with no fixed range:
   the edge's source image sits at ``positions[src] - offset @ cell``
 
+Rigid motions are drawn and applied a stack at a time:
+:func:`random_transforms` draws k motions with one QR, and
+:func:`apply_transforms` moves a system by all of them in one product.
+:func:`random_transform` and :func:`apply_transform` are their one-element
+calls.
+
 Radius graphs are built a batch at a time: :func:`build_radius_graphs` runs
 one neighbour search over every aperiodic system of a call and one per
 periodic system, and :func:`build_radius_graph` is its one-system call,
@@ -240,59 +246,111 @@ class EuclideanTransform:
         )
 
 
-def apply_transform(system: AtomicSystem, transform: EuclideanTransform) -> AtomicSystem:
-    """Apply a rigid motion to a system.
+def apply_transforms(system: AtomicSystem, rotations: np.ndarray,
+                     translations: np.ndarray) -> list[AtomicSystem]:
+    """``system`` moved by each rigid motion of a stack, in stack order.
 
-    Positions move as points, ``X @ U.T + t``. Cell rows are lattice
-    vectors, differences of positions, so they rotate, ``cell @ U.T``, and
-    never translate: the moved crystal is the same crystal.
+    ``rotations`` is a ``(k, 3, 3)`` stack of orthogonal matrices and
+    ``translations`` a ``(k, 3)`` stack. Copy i's positions move as points,
+    ``X @ rotations[i].T + translations[i]``, all copies in one product. Cell
+    rows are lattice vectors, differences of positions, so they rotate,
+    ``cell @ rotations[i].T``, and never translate: each moved crystal is the
+    same crystal. Every copy is a validated :class:`AtomicSystem`.
     """
-    cell = None if system.cell is None else system.cell @ transform.rotation.T
-    return AtomicSystem(transform.apply_points(system.positions), system.atomic_numbers, cell,
-                        system.pbc)
+    rotations = np.asarray(rotations, dtype=np.float64)
+    translations = np.asarray(translations, dtype=np.float64)
+    if rotations.ndim != 3 or rotations.shape[1:] != (3, 3) or \
+            translations.shape != (len(rotations), 3):
+        raise ShapeMismatch(f"motions need (k, 3, 3) rotations and (k, 3) translations, got "
+                            f"{rotations.shape} and {translations.shape}")
+    check_orthogonal(rotations)
+    turns = np.swapaxes(rotations, 1, 2)
+    positions = system.positions @ turns + translations[:, None]
+    cells = [None] * len(rotations) if system.cell is None else system.cell @ turns
+    return [AtomicSystem(moved, system.atomic_numbers, cell, system.pbc)
+            for moved, cell in zip(positions, cells)]
 
 
-def _haar_orthogonal(rng: np.random.Generator) -> np.ndarray:
-    """Draw U uniformly from O(3); det is +1 or -1 with equal probability."""
-    gauss = rng.standard_normal((3, 3))
+def apply_transform(system: AtomicSystem, transform: EuclideanTransform) -> AtomicSystem:
+    """``system`` moved by one rigid motion: :func:`apply_transforms` of a stack of one."""
+    return apply_transforms(system, transform.rotation[None], transform.translation[None])[0]
+
+
+def _haar_orthogonal(gauss: np.ndarray) -> np.ndarray:
+    """The Haar-uniform O(3) matrices of a ``(k, 3, 3)`` stack of Gaussian
+    draws; each det is +1 or -1 with equal probability."""
     q, r = np.linalg.qr(gauss)
     # Fixing the sign of R's diagonal makes the QR factor Haar-distributed.
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[:, None, :]
 
 
-def with_det_sign(rotation: np.ndarray, sign: float) -> np.ndarray:
-    """``rotation``, or a copy with column 0 negated, whose determinant has the sign of ``sign``."""
-    if np.linalg.det(rotation) * sign < 0:
-        rotation = rotation.copy()
-        rotation[:, 0] = -rotation[:, 0]
-    return rotation
+def with_det_sign(rotations: np.ndarray, sign: float) -> np.ndarray:
+    """A (3, 3) matrix or a (k, 3, 3) stack whose determinants have the sign of ``sign``.
+
+    Column 0 of each matrix with the other sign is negated, in a copy;
+    ``rotations`` itself comes back when no matrix needs it.
+    """
+    flip = np.linalg.det(rotations) * sign < 0
+    if flip.any():
+        rotations = rotations.copy()
+        column = rotations[..., 0]
+        np.negative(column, out=column, where=flip[..., None])
+    return rotations
+
+
+def random_transforms(group: str, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``count`` random rigid motions of one of the supported groups.
+
+    Returns a ``(count, 3, 3)`` rotation stack and a ``(count, 3)``
+    translation stack. E3 draws Haar-uniform orthogonal matrices (reflections
+    included), SE3 and SO3 restrict to det +1, T3 is translation-only, and
+    Z_AXIS_2D rotates about the z axis. Translations are uniform in
+    [-10, 10]^3 angstrom except for SO3, which is centered at the origin.
+
+    Each motion takes its raw draws from ``rng`` in turn, the translation and
+    then a Gaussian 3x3 matrix or an angle, so the stack is bit for bit
+    ``count`` calls of :func:`random_transform` and leaves ``rng`` in the
+    same state. The QR, the sign fixes and the orthogonality check then run
+    once over the stack.
+    """
+    group = normalize_group(group)
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    translations = np.empty((count, 3))
+    haar = group in (E3, SE3, SO3)
+    draws = np.empty((count, 3, 3) if haar else count)
+    for i in range(count):
+        translations[i] = rng.uniform(-TRANSLATION_RANGE, TRANSLATION_RANGE, size=3)
+        if haar:
+            draws[i] = rng.standard_normal((3, 3))
+        elif group == Z_AXIS_2D:
+            draws[i] = rng.uniform(0.0, 2.0 * np.pi)
+    if haar:
+        rotations = _haar_orthogonal(draws)
+        if group != E3:
+            rotations = with_det_sign(rotations, 1.0)
+        if group == SO3:
+            translations[:] = 0.0
+    else:
+        rotations = np.zeros((count, 3, 3))
+        rotations[:, 2, 2] = 1.0
+        if group == T3:
+            rotations[:, 0, 0] = rotations[:, 1, 1] = 1.0
+        else:  # Z_AXIS_2D
+            c, s = np.cos(draws), np.sin(draws)
+            rotations[:, 0, 0], rotations[:, 0, 1] = c, -s
+            rotations[:, 1, 0], rotations[:, 1, 1] = s, c
+    check_orthogonal(rotations)
+    return rotations, translations
 
 
 def random_transform(group: str, rng: np.random.Generator) -> EuclideanTransform:
-    """Sample a random transform from one of the supported groups.
-
-    E3 draws Haar-uniform orthogonal matrices (reflections included), SE3 and
-    SO3 restrict to det +1, T3 is translation-only, and Z_AXIS_2D rotates
-    about the z axis. Translations are uniform in [-10, 10]^3 angstrom except
-    for SO3, which is centered at the origin.
-    """
-    group = normalize_group(group)
-    translation = rng.uniform(-TRANSLATION_RANGE, TRANSLATION_RANGE, size=3)
-    if group == E3:
-        rotation = _haar_orthogonal(rng)
-    elif group in (SE3, SO3):
-        rotation = with_det_sign(_haar_orthogonal(rng), 1.0)
-        if group == SO3:
-            translation = np.zeros(3)
-    elif group == T3:
-        rotation = np.eye(3)
-    else:  # Z_AXIS_2D
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(angle), np.sin(angle)
-        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return EuclideanTransform(rotation=rotation, translation=translation)
+    """One random rigid motion: :func:`random_transforms` of ``count`` 1."""
+    rotations, translations = random_transforms(group, rng, 1)
+    return EuclideanTransform(rotation=rotations[0], translation=translations[0])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines, gives
-child processes the environment that imports the code under test, and draws
-mixed batches of systems for the batched geometry tests."""
+child processes the environment that imports the code under test, names a
+few small molecules, and draws mixed batches of systems for the batched
+geometry tests."""
 
 import os
 from pathlib import Path
@@ -39,6 +40,26 @@ def cli_env():
 # A regular octahedron: isotropic covariance, so its PCA frame is degenerate
 # in every group.
 _OCTAHEDRON = np.concatenate([np.eye(3), -np.eye(3)]) * 1.3
+
+
+def _ring(count: int, radius: float, z: float = 0.0) -> np.ndarray:
+    """``count`` points evenly spaced on a circle about the z axis."""
+    angles = 2.0 * np.pi * np.arange(count) / count
+    return np.stack([radius * np.cos(angles), radius * np.sin(angles), np.full(count, z)], axis=1)
+
+
+# Small molecules as (positions in angstrom, atomic numbers). Water's PCA
+# spectrum is simple; each of the others has tied eigenvalues, so its PCA
+# frame is degenerate: CO2 is linear, NH3 and benzene are symmetric tops,
+# and the octahedron is isotropic.
+MOLECULES = {
+    "H2O": (np.array([[0.0, 0.0, 0.1173], [0.0, 0.7572, -0.4692], [0.0, -0.7572, -0.4692]]),
+            np.array([8, 1, 1])),
+    "CO2": (np.array([[0.0, 0.0, 0.0], [1.16, 0.0, 0.0], [-1.16, 0.0, 0.0]]), np.array([6, 8, 8])),
+    "NH3": (np.concatenate([[[0.0, 0.0, 0.0]], _ring(3, 0.9377, -0.3811)]), np.array([7, 1, 1, 1])),
+    "benzene": (np.concatenate([_ring(6, 1.39), _ring(6, 2.47)]), np.array([6] * 6 + [1] * 6)),
+    "octahedron": (_OCTAHEDRON, np.full(6, 6)),
+}
 
 
 def _draw_mixed_batch(rng: np.random.Generator) -> list:

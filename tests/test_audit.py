@@ -115,6 +115,18 @@ def test_audit_needs_at_least_one_transform(num_transforms):
                     rng=np.random.default_rng(2))
 
 
+@pytest.mark.parametrize("num_transforms", [1, 7, 40])
+def test_probe_panel_is_rotations_then_reflections(num_transforms):
+    # The signs hold by construction, not by a check that `python -O` strips.
+    rotations, translations = audit._probe_panel(np.random.default_rng(3), num_transforms)
+    assert rotations.shape == (2 * num_transforms, 3, 3)
+    assert translations.shape == (2 * num_transforms, 3)
+    dets = np.linalg.det(rotations)
+    np.testing.assert_allclose(dets[:num_transforms], 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dets[num_transforms:], -1.0, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(translations[:num_transforms], 0.0)
+
+
 def test_full_mode_is_invariant_to_machine_precision():
     model = FAENetModel(FORCE_CONFIG, np.random.default_rng(0))
     report = audit_model(

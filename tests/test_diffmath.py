@@ -371,6 +371,19 @@ def test_message_sum_rejects_out_of_range_ids(src, dst, what):
             dm.message_sum(gate, x, src_index, dst_index, 2)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_gather_rows_and_edge_gate_reject_out_of_range_ids(bad):
+    # -1 would wrap round to the last row; 3 would be a bare IndexError.
+    x, table = dm.DiffValue(np.ones((2, 2))), dm.DiffValue(np.ones((3, 2)))
+    for index in ([0, bad], dm.segments([0, bad])):
+        with pytest.raises(ShapeMismatch, match="row id out of range"):
+            dm.gather_rows(table, index)
+        with pytest.raises(ShapeMismatch, match="a id out of range"):
+            dm.edge_gate(x, table, index, table, [0, 1])
+        with pytest.raises(ShapeMismatch, match="b id out of range"):
+            dm.edge_gate(x, table, [0, 1], table, index)
+
+
 def test_swish_over_row_blocks_is_bitwise_one_pass(monkeypatch):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((11, 5)) * 30.0

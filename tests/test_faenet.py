@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import MOLECULES
 from faframe import diffmath as dm
 from faframe import faenet
 from faframe.errors import (
@@ -20,8 +21,10 @@ from faframe.geometry import (
     Z_AXIS_2D,
     AtomicSystem,
     apply_transform,
+    apply_transforms,
     build_radius_graph,
     random_transform,
+    random_transforms,
 )
 from faframe.faenet import (
     GRADCHECK_CONFIG,
@@ -440,6 +443,27 @@ def test_full_average_equals_mean_of_canonical_views():
             model, system, fa_mode="stochastic", rng=np.random.default_rng(trial)
         ).energy
         assert min(abs(draw - v) for v in per_view) < 1e-12
+
+
+_DEGENERATE_FRAME = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: tied PCA eigenvalues make the frame degenerate, and its "
+    "identity fallback view turns with the input"))
+
+
+@pytest.mark.parametrize("name", [
+    "H2O",
+    *(pytest.param(name, marks=_DEGENERATE_FRAME)
+      for name in ("CO2", "NH3", "benzene", "octahedron")),
+])
+def test_full_mode_energy_is_e3_invariant_for_small_molecules(name):
+    positions, numbers = MOLECULES[name]
+    system = AtomicSystem(positions, numbers)
+    config = FAENetConfig(hidden_channels=16, num_filters=16, num_gaussians=8,
+                          num_interactions=2, cutoff=5.0, max_neighbors=12)
+    model = FAENetModel(config, np.random.default_rng(0))
+    base = forward(model, system, fa_mode="full").energy
+    for moved in apply_transforms(system, *random_transforms(E3, np.random.default_rng(1), 10)):
+        assert abs(forward(model, moved, fa_mode="full").energy - base) <= 1e-9 * abs(base)
 
 
 def test_none_mode_is_rotation_sensitive():

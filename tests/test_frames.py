@@ -461,6 +461,16 @@ def test_plan_stochastic_draws_once_per_system_in_order():
         np.testing.assert_array_equal(rotation, single.rotation[0])
 
 
+@pytest.mark.parametrize("group", [E3, SE3, Z_AXIS_2D])
+def test_plan_data_augment_draws_one_motion_per_system_in_order(group):
+    rng = np.random.default_rng(25)
+    systems = [random_system(rng) for _ in range(4)]
+    plan = plan_views(systems, "data_augment", group, np.random.default_rng(6))
+    shared = np.random.default_rng(6)
+    for rotation in plan.rotation:
+        assert rotation.tobytes() == random_transform(group, shared).rotation.T.tobytes()
+
+
 def test_plan_none_maps_back_with_identity():
     system = random_system(np.random.default_rng(24))
     plan = plan_views([system], "none", E3)

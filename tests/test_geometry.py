@@ -17,14 +17,17 @@ from faframe.geometry import (
     SE3,
     SO3,
     T3,
+    TRANSFORM_GROUPS,
     Z_AXIS_2D,
     AtomicSystem,
     EuclideanTransform,
     RadiusGraph,
     apply_transform,
+    apply_transforms,
     build_radius_graph,
     build_radius_graphs,
     random_transform,
+    random_transforms,
     with_det_sign,
 )
 
@@ -291,6 +294,70 @@ def test_with_det_sign_flips_column_zero_only_when_the_sign_is_wrong():
             else:
                 np.testing.assert_array_equal(out[:, 0], -rotation[:, 0])
                 np.testing.assert_array_equal(out[:, 1:], rotation[:, 1:])
+
+
+def test_with_det_sign_on_a_stack_flips_each_wrong_matrix_only():
+    rotations, _ = random_transforms(E3, np.random.default_rng(9), 40)
+    for sign in (1.0, -1.0):
+        out = with_det_sign(rotations, sign)
+        for rotation, flipped in zip(rotations, out):
+            assert flipped.tobytes() == with_det_sign(rotation, sign).tobytes()
+    proper = with_det_sign(rotations, 1.0)
+    assert with_det_sign(proper, 1.0) is proper
+
+
+@pytest.mark.parametrize("group", TRANSFORM_GROUPS)
+def test_stacked_draw_is_one_motion_draws_bit_for_bit(group):
+    stacked_rng, one_rng = np.random.default_rng(31), np.random.default_rng(31)
+    rotations, translations = random_transforms(group, stacked_rng, 25)
+    assert rotations.shape == (25, 3, 3) and translations.shape == (25, 3)
+    for rotation, translation in zip(rotations, translations):
+        g = random_transform(group, one_rng)
+        assert rotation.tobytes() == g.rotation.tobytes()
+        assert translation.tobytes() == g.translation.tobytes()
+    assert stacked_rng.bit_generator.state == one_rng.bit_generator.state
+
+
+def test_empty_stack_draws_nothing_and_bad_counts_raise():
+    rng = np.random.default_rng(32)
+    state = rng.bit_generator.state
+    for group in TRANSFORM_GROUPS:
+        rotations, translations = random_transforms(group, rng, 0)
+        assert rotations.shape == (0, 3, 3) and translations.shape == (0, 3)
+    assert rng.bit_generator.state == state
+    for count in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            random_transforms(E3, rng, count)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stacked_move_is_one_motion_moves_bit_for_bit(periodic):
+    rng = np.random.default_rng(33)
+    system = random_system(rng, n=23, periodic=periodic)
+    rotations, translations = random_transforms(E3, rng, 12)
+    moved = apply_transforms(system, rotations, translations)
+    assert len(moved) == 12
+    for copy, rotation, translation in zip(moved, rotations, translations):
+        assert isinstance(copy, AtomicSystem) and copy.pbc == system.pbc
+        one = apply_transform(system, EuclideanTransform(rotation, translation))
+        expected = system.positions @ rotation.T + translation
+        assert copy.positions.tobytes() == one.positions.tobytes() == expected.tobytes()
+        if periodic:  # the cell turns with the atoms and is never translated
+            expected_cell = system.cell @ rotation.T
+            assert copy.cell.tobytes() == one.cell.tobytes() == expected_cell.tobytes()
+        else:
+            assert copy.cell is None
+    assert apply_transforms(system, rotations[:0], translations[:0]) == []
+
+
+def test_stacked_move_rejects_bad_stacks():
+    system = random_system(np.random.default_rng(34))
+    with pytest.raises(ShapeMismatch, match="motions need"):
+        apply_transforms(system, np.eye(3), np.zeros(3))
+    with pytest.raises(ShapeMismatch, match="motions need"):
+        apply_transforms(system, np.eye(3)[None], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        apply_transforms(system, 2.0 * np.eye(3)[None], np.zeros((1, 3)))
 
 
 def test_e3_determinant_balance():
