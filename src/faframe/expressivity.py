@@ -19,6 +19,7 @@ Families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from itertools import permutations, product
@@ -268,14 +269,25 @@ class BenchmarkResult:
                 "perfect_seeds": self.perfect_seeds, "num_seeds": len(self.accuracies)}
 
 
+@functools.lru_cache(maxsize=64)
 def _make_instance(family: str, parameter: int, angle: float | None) -> BenchmarkInstance:
+    """The certified pair of one family, parameter and angle, built once per process.
+
+    The pair depends on nothing else, so its alignment search runs once. Its
+    arrays are read-only, because every later call shares them.
+    """
     if family == "kchains":
         if angle is not None:
             raise ValueError("angle only applies to the rotsym family")
-        return gen_k_chain(parameter)
-    if family == "rotsym":
-        return gen_rot_sym(parameter, angle)
-    raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        instance = gen_k_chain(parameter)
+    elif family == "rotsym":
+        instance = gen_rot_sym(parameter, angle)
+    else:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    for system in instance.systems:
+        system.positions.flags.writeable = False
+        system.atomic_numbers.flags.writeable = False
+    return instance
 
 
 def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,

@@ -19,7 +19,9 @@ calls.
 Radius graphs are built a batch at a time: :func:`build_radius_graphs` runs
 one neighbour search over every aperiodic system of a call and one per
 periodic system, and :func:`build_radius_graph` is its one-system call,
-kept public because the benchmark harness imports it by name.
+kept public because the benchmark harness imports it by name. The search
+is a cell list: bins half the cutoff wide on a crystal, a cutoff wide on
+molecules.
 """
 
 from __future__ import annotations
@@ -38,9 +40,18 @@ from .errors import NonFiniteInput, ShapeMismatch, UnknownElement
 ORTHONORMAL_TOL = 1e-10
 CELL_DET_TOL = 1e-10
 
-# Radius-graph bins are at least cutoff * (1 + BIN_SLACK) wide, so rounding
-# in the bin coordinates never puts a pair within the cutoff out of reach.
+# Radius-graph bins are wide enough that `reach` of them span at least
+# cutoff * (1 + BIN_SLACK), so rounding in the bin coordinates never puts a
+# pair within the cutoff out of reach.
 BIN_SLACK = 1e-9
+# A periodic cell holds at most this many bins per axis, so that its bin
+# grid alone never outgrows exact ids.
+MAX_BINS_PER_CELL = 2.0**16
+# Bin coordinates are exact floats while the bin grid has fewer than
+# EXACT_BIN_GRID bins; a larger grid has its empty stretches closed up, and
+# one still past MAX_BIN_IDS cannot be numbered in int64.
+EXACT_BIN_GRID = 2.0**52
+MAX_BIN_IDS = 2.0**62
 _IDENTITY = np.eye(3)
 _UNIT = np.ones(3, dtype=np.int64)
 
@@ -255,7 +266,9 @@ def apply_transforms(system: AtomicSystem, rotations: np.ndarray,
     ``X @ rotations[i].T + translations[i]``, all copies in one product. Cell
     rows are lattice vectors, differences of positions, so they rotate,
     ``cell @ rotations[i].T``, and never translate: each moved crystal is the
-    same crystal. Every copy is a validated :class:`AtomicSystem`.
+    same crystal. The moved stack is checked for NaN and inf once, as
+    :class:`AtomicSystem` checks coordinates; the copies share the source's
+    already validated atomic numbers and pbc flags.
     """
     rotations = np.asarray(rotations, dtype=np.float64)
     translations = np.asarray(translations, dtype=np.float64)
@@ -266,9 +279,22 @@ def apply_transforms(system: AtomicSystem, rotations: np.ndarray,
     check_orthogonal(rotations)
     turns = np.swapaxes(rotations, 1, 2)
     positions = system.positions @ turns + translations[:, None]
+    if not np.isfinite(positions).all():
+        raise NonFiniteInput("positions contain NaN or inf")
     cells = [None] * len(rotations) if system.cell is None else system.cell @ turns
-    return [AtomicSystem(moved, system.atomic_numbers, cell, system.pbc)
-            for moved, cell in zip(positions, cells)]
+    if system.cell is not None and not np.isfinite(cells).all():
+        raise NonFiniteInput("cell contains NaN or inf")
+    return [_moved_copy(system, moved, cell) for moved, cell in zip(positions, cells)]
+
+
+def _moved_copy(system: AtomicSystem, positions: np.ndarray,
+                cell: np.ndarray | None) -> AtomicSystem:
+    """``system`` at checked new coordinates, its other fields shared, not re-validated."""
+    copy = object.__new__(AtomicSystem)
+    for name, value in (("positions", positions), ("atomic_numbers", system.atomic_numbers),
+                        ("cell", cell), ("pbc", system.pbc)):
+        object.__setattr__(copy, name, value)
+    return copy
 
 
 def apply_transform(system: AtomicSystem, transform: EuclideanTransform) -> AtomicSystem:
@@ -418,12 +444,16 @@ def build_radius_graphs(
     sets how far the search reaches, so a cell narrower than the cutoff
     simply yields larger offsets. Positions need not lie inside the cell.
 
-    Atoms are sorted into bins at least the cutoff wide (fractional
-    coordinates on a periodic cell, angstrom on an aperiodic system) and each
-    atom is paired with the atoms of the bins within reach. Time and memory
-    go with the number of atoms and of these candidate pairs, not with n^2.
-    One more table holds a shift per possible offset; it grows with how many
-    whole cells apart the stored positions lie.
+    Atoms are sorted into bins and each atom is paired with the atoms of the
+    bins within reach. A periodic cell is binned in fractional coordinates,
+    with bins half the cutoff wide where the cell holds two of them, so that
+    the bins within reach are those two bins away; aperiodic systems are
+    binned in angstrom, with bins a cutoff wide, reached one bin away. Each
+    step finds its bin with one lookup among the occupied bins, so time and
+    memory go with the number of atoms and of these candidate pairs, not
+    with n^2 nor with the size of the bin grid. One more table holds a shift
+    per possible offset; it grows with how many whole cells apart the stored
+    positions lie.
 
     All aperiodic systems of a call share one search, each in a slab of bins
     of its own; a periodic system is searched alone, on its own lattice. A
@@ -444,6 +474,59 @@ def build_radius_graphs(
     return graphs
 
 
+def _slab_sizes(cells: np.ndarray, firsts: np.ndarray, pbc: np.ndarray,
+                 bins_per_cell: np.ndarray, width: np.ndarray):
+    """Each system's lowest bin, its span of bins and the bins its slab takes
+    per axis, and the bins of the grid of all slabs per axis, as floats."""
+    low = np.minimum.reduceat(cells, firsts[:-1], axis=0)
+    span = np.maximum.reduceat(cells, firsts[:-1], axis=0) - low
+    slabs = np.where(pbc, bins_per_cell, span + width)
+    return low, span, slabs, np.array([slabs[:, 0].sum(), *slabs[:, 1:].max(axis=0)])
+
+
+def _close_gaps(cells: np.ndarray, firsts: np.ndarray, axes: np.ndarray,
+                reach: np.ndarray) -> np.ndarray:
+    """Float bin coordinates with each system's empty stretches closed up, on ``axes``.
+
+    Along each axis, every gap between a system's occupied coordinates that
+    is wider than the reach shrinks to reach + 1. Coordinates within reach
+    of each other keep their exact distance and all others stay out of
+    reach, so every step finds the same atoms, while a system's span drops
+    to at most (reach + 1) bins per atom, whatever the spread of its
+    positions.
+    """
+    cells = cells.copy()
+    owner = np.arange(len(firsts) - 1).repeat(np.diff(firsts))
+    for axis in np.flatnonzero(axes):
+        order = np.lexsort((cells[:, axis], owner))
+        gaps = np.minimum(np.diff(cells[order, axis]), float(reach[axis] + 1))
+        gaps[np.diff(owner) != 0] = 0.0  # owner is sorted: each system starts anew
+        cells[order, axis] = np.concatenate(([0.0], gaps.cumsum()))
+    return cells
+
+
+def _edge_order(dst: np.ndarray, dist: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """``np.lexsort((tie, dist, dst))`` for unique (dst, tie) pairs, by two plain sorts.
+
+    Each distance's rank among the distinct distances makes ``dst * len +
+    rank`` one int64 key in the order of (dst, dist); only the runs that
+    key leaves tied, a node's sources at exactly the same distance, are
+    then sorted by ``tie``.
+    """
+    by_dist = dist.argsort()
+    sorted_dist = dist.take(by_dist)
+    rank = np.zeros_like(by_dist)
+    rank[by_dist[1:]] = (sorted_dist[1:] != sorted_dist[:-1]).cumsum()
+    key = dst * len(dist) + rank
+    order = key.argsort()
+    key = key.take(order)
+    tied = key[1:] == key[:-1]
+    if tied.any():
+        runs = (np.append(tied, False) | np.append(False, tied)).nonzero()[0]
+        order[runs] = order[runs].take(np.lexsort((tie.take(order[runs]), key.take(runs))))
+    return order
+
+
 def _search(systems: list[AtomicSystem], cutoff: float, max_neighbors: int) -> list[RadiusGraph]:
     """One binned search over a single periodic system or any aperiodic ones."""
     counts = np.array([system.num_atoms for system in systems])
@@ -454,67 +537,102 @@ def _search(systems: list[AtomicSystem], cutoff: float, max_neighbors: int) -> l
         positions = systems[0].positions
         cell = systems[0].cell
         inverse = np.linalg.inv(cell)
-        # Plane spacing over the padded cutoff, per cell axis.
+        # Plane spacing over the padded cutoff, per cell axis. Bins are half
+        # the cutoff wide where the cell holds two of them, so the atoms of
+        # the 5^3 bins within reach 2 fill (2.5 cutoffs)^3, against (3
+        # cutoffs)^3 for bins a whole cutoff wide, or the whole cell when it
+        # holds fewer than three such bins.
         per_cutoff = 1.0 / (np.sqrt((inverse * inverse).sum(axis=0)) * padded)
-        bins_per_cell = np.maximum(np.floor(per_cutoff), 1.0)
+        bins_per_cell = np.clip(np.floor(2.0 * per_cutoff), 1.0, MAX_BINS_PER_CELL)
         reach = np.ceil(bins_per_cell / per_cutoff).astype(np.int64)
-        steps, width, _ = _offset_box(tuple(reach.tolist()))
         bins_per_cell = bins_per_cell.astype(np.int64)
-        cells = np.floor(positions @ (inverse * bins_per_cell)).astype(np.int64)
+        cells = np.floor(positions @ (inverse * bins_per_cell))
     else:
+        # Molecules keep bins a cutoff wide: with few atoms per bin, finer
+        # bins save fewer distances than the longer stencil costs.
         positions = np.concatenate([system.positions for system in systems])
         cell = _IDENTITY  # the one offset, 0, then shifts by exactly +0.0
         bins_per_cell = reach = _UNIT
-        steps, width, _ = _offset_box((1, 1, 1))
-        cells = np.floor(positions * (1.0 / padded)).astype(np.int64)
+        cells = np.floor(positions * (1.0 / padded))
+
+    width = 2 * reach + 1  # bins in the stencil along each axis
+    # Bin coordinates stay floats until the bin grid is known to be small
+    # enough for exact int64 ids; a wider spread on an aperiodic axis first
+    # has its empty stretches closed up.
+    low, span, slabs, size = _slab_sizes(cells, firsts, pbc, bins_per_cell, width)
+    if math.prod(size.tolist()) >= EXACT_BIN_GRID:
+        cells = _close_gaps(cells, firsts, ~pbc, reach)
+        low, span, slabs, size = _slab_sizes(cells, firsts, pbc, bins_per_cell, width)
+        if math.prod(size.tolist()) >= MAX_BIN_IDS:
+            raise ValueError(f"a radius graph of {len(positions)} atoms this far apart "
+                             "needs more bins than int64 ids can number")
+    slabs, size = slabs.astype(np.int64), size.astype(np.int64)
 
     # Lift each system's lowest bin to `reach`: on an aperiodic axis every
     # step then lands inside [0, size) and never wraps, so its offset stays 0.
     # Systems sit side by side along the first axis, each in a slab of its
     # own, so no step reaches another system's bins. Only bin coordinates
     # move; positions keep their bits.
-    low = np.minimum.reduceat(cells, firsts[:-1], axis=0)
-    span = np.maximum.reduceat(cells, firsts[:-1], axis=0) - low
-    slabs = np.where(pbc, bins_per_cell, span + width)
     lift = reach - low
     lift[1:, 0] += slabs[:-1, 0].cumsum()
-    cells += lift.repeat(counts, axis=0)
-    size = np.array([slabs[:, 0].sum(), slabs[:, 1].max(), slabs[:, 2].max()])
-    span = span[0]  # read on periodic axes only, and then the search holds one system
+    cells = (cells + lift.repeat(counts, axis=0)).astype(np.int64)
+    # Read on periodic axes only, and then the search holds one system.
+    span = span[0].astype(np.int64)
 
     strides = np.array([size[1] * size[2], size[2], 1])
     img, wrapped = np.divmod(cells, size)  # each atom's whole-cell image and bin
     bin_id = wrapped @ strides
     order = bin_id.argsort(kind="stable")
     sorted_bins = bin_id.take(order)
+    # The occupied bins and where each one's run of `order` starts, then two
+    # ends past the last: an empty run for the steps that find no atom.
+    bounds = np.concatenate(([0], (sorted_bins[1:] != sorted_bins[:-1]).nonzero()[0] + 1,
+                             [len(order)] * 2))
+    occupied = sorted_bins.take(bounds[:-2])
 
-    # One pass over (atom, step) pairs: the bin each step lands in, the image
-    # of the cell it lands in, and that bin's slice of `order`.
-    image, wrapped = np.divmod(cells[:, None, :] + steps, size)
-    target = (wrapped @ strides).ravel()
-    first = sorted_bins.searchsorted(target)
-    count = sorted_bins.searchsorted(target, "right") - first
-    ends = count.cumsum()
-    pair = np.arange(count.size).repeat(count)
-    src = order.take(np.arange(ends[-1]) + (first - ends + count).take(pair))
-    dst = pair // len(steps)
-
-    # A candidate's offset is img[src] - image[pair]; `key` is its row in the
-    # box of offsets that can occur. img spans (span + reach) // size -
-    # reach // size cells, and a step's image is within reach of its atom's.
+    # A candidate's offset is img[src] minus the image its step lands in;
+    # `key` is its row in the box of offsets that can occur. img spans
+    # (span + reach) // size - reach // size cells, and a step's image is
+    # within reach of its atom's.
     half = np.where(pbc, (span + reach) // size - reach // size + reach, 0)
     offsets, _, box_strides = _offset_box(tuple(half.tolist()))
     rows = len(offsets)
     zero = rows // 2
-    key = (img @ box_strides + zero).take(src) - (image @ box_strides).ravel().take(pair)
+
+    # Every (atom, step) pair, steps in the stencil's lexicographic order:
+    # per atom and axis, the bin coordinate each step lands on and the image
+    # of the cell it lands in, summed over the three axes into the bin's id
+    # and the image's row of the offset box.
+    most = reach.max()
+    whole, bins = np.divmod(cells[:, :, None] + np.arange(-most, most + 1), size[:, None])
+    bins *= strides[:, None]
+    whole *= box_strides[:, None]
+    x, y, z = (slice(most - r, most + r + 1) for r in reach.tolist())
+    target = bins[:, 0, x, None, None] + bins[:, 1, None, y, None] + bins[:, 2, None, None, z]
+    image = whole[:, 0, x, None, None] + whole[:, 1, None, y, None] + whole[:, 2, None, None, z]
+    target, image = target.ravel(), image.ravel()
+
+    # Each step's run of `order` by one lookup among the occupied bins; a
+    # step into an empty bin gets the empty run.
+    slot = occupied.searchsorted(target)
+    slot[occupied.take(slot, mode="clip") != target] = len(occupied)
+    first = bounds.take(slot)
+    count = bounds.take(slot + 1) - first
+    ends = count.cumsum()
+    pair = np.arange(count.size).repeat(count)
+    src = order.take(np.arange(ends[-1]) + (first - ends + count).take(pair))
+    dst = pair // width.prod()
+    key = (img @ box_strides + zero).take(src) - image.take(pair)
 
     # One (3,) @ (3, 3) product per offset (a stack of such products), then
-    # (x_dst - x_src) + shift, and the row norm summed as np.linalg.norm does.
+    # (x_dst - x_src) + shift, and the row norm summed in np.linalg.norm's
+    # order, (x^2 + y^2) + z^2, without its reduction's overhead.
     shifts = (offsets[:, None, :].astype(np.float64) @ cell)[:, 0]
     vec = positions.take(dst, axis=0)
     vec -= positions.take(src, axis=0)
     vec += shifts.take(key, axis=0)
-    dist = np.sqrt(np.add.reduce(vec * vec, axis=1))
+    sq = vec * vec
+    dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
 
     # Deterministic order: group by destination, then nearest first with ties
     # broken by source index and lexicographic offset (tie = src, then key).
@@ -522,7 +640,7 @@ def _search(systems: list[AtomicSystem], cutoff: float, max_neighbors: int) -> l
     tie = src * rows + key
     hit = ((dist < cutoff) & (tie != dst * rows + zero)).nonzero()[0]
     tie, dst, dist = tie.take(hit), dst.take(hit), dist.take(hit)
-    order = np.lexsort((tie, dist, dst))
+    order = _edge_order(dst, dist, tie)
     # Candidates come destination by destination, so dst is already sorted
     # and an edge's rank is its position past the first edge into its node.
     keep = order[np.arange(dst.size) - dst.searchsorted(dst) < max_neighbors]

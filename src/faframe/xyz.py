@@ -167,9 +167,11 @@ def format_xyz(system: AtomicSystem, extra: dict[str, str] | None = None) -> str
         else:
             fields.append(f"{key}={value}")
     out.write(" ".join(fields) + "\n")
-    for z, row in zip(system.atomic_numbers, system.positions):
-        coords = " ".join(_COORD_FORMAT.format(v) for v in row)
-        out.write(f"{number_to_symbol(int(z))} {coords}\n")
+    # One format call per atom line, on Python floats: the same text as
+    # formatting each numpy value on its own, with a call per line, not per value.
+    line = " ".join(["{}", _COORD_FORMAT, _COORD_FORMAT, _COORD_FORMAT]) + "\n"
+    out.writelines(line.format(number_to_symbol(z), *row)
+                   for z, row in zip(system.atomic_numbers.tolist(), system.positions.tolist()))
     return out.getvalue()
 
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from faframe import expressivity
 from faframe.errors import DegenerateAngle
 from faframe.expressivity import (
     ALIGNMENT_THRESHOLD,
@@ -227,6 +228,33 @@ def test_benchmark_result_statistics():
     assert payload["num_seeds"] == 2
     assert payload["schema_version"] == 1
     assert payload["accuracies"] == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("family, parameter, angle", [("kchains", 3, None),
+                                                      ("rotsym", 5, 0.4)])
+def test_each_benchmark_pair_is_certified_once(monkeypatch, family, parameter, angle):
+    expressivity._make_instance.cache_clear()
+    first = expressivity._make_instance(family, parameter, angle)
+    fresh = gen_k_chain(parameter) if family == "kchains" else gen_rot_sym(parameter, angle)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the alignment search ran again")
+
+    monkeypatch.setattr(expressivity, "rigid_alignment_residual", no_search)
+    again = expressivity._make_instance(family, parameter, angle)
+    assert again is first
+    assert (again.family, again.parameter) == (fresh.family, fresh.parameter)
+    assert again.min_alignment_residual == fresh.min_alignment_residual
+    for shared, built in zip(again.systems, fresh.systems):
+        assert shared.positions.tobytes() == built.positions.tobytes()
+        assert shared.atomic_numbers.tobytes() == built.atomic_numbers.tobytes()
+        # Every later call shares these arrays, so none of them can be written.
+        with pytest.raises(ValueError, match="read-only"):
+            shared.positions[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared.atomic_numbers[0] = 1
+    run_benchmark(family, parameter, angle=angle, num_seeds=1, epochs=1,
+                  train_transforms=1, test_transforms=1)
 
 
 def test_benchmark_rejects_cross_family_angle():

@@ -1,10 +1,12 @@
 """Rigid transforms and radius graphs, checked against loop oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from faframe import geometry
 from faframe.errors import (
     CutoffExceedsImageRange,
     FaframeError,
@@ -350,6 +352,26 @@ def test_stacked_move_is_one_motion_moves_bit_for_bit(periodic):
     assert apply_transforms(system, rotations[:0], translations[:0]) == []
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stacked_move_that_overflows_to_inf_raises(periodic):
+    # Each copy shares the source's validated fields; the moved stack is still
+    # checked for values the product pushed past the float range.
+    big = 1.7e308
+    cell = np.array([[big, big, 0.0], [0.0, 1e-9, 0.0], [0.0, 0.0, 1e-9]]) if periodic else None
+    system = AtomicSystem([[big, big, 0.0], [0.0, 0.0, 0.0]], [6, 8])
+    turn = np.array([[np.sqrt(0.5), np.sqrt(0.5), 0.0], [-np.sqrt(0.5), np.sqrt(0.5), 0.0],
+                     [0.0, 0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteInput, match="positions"):
+            apply_transforms(system, np.stack([np.eye(3), turn]), np.zeros((2, 3)))
+        with pytest.raises(NonFiniteInput, match="positions"):
+            apply_transforms(system, np.eye(3)[None], np.array([[big, 0.0, 0.0]]))
+        if periodic:
+            crystal = AtomicSystem([[0.0, 0.0, 0.0]], [6], cell=cell, pbc=(True, False, False))
+            with pytest.raises(NonFiniteInput, match="cell"):
+                apply_transforms(crystal, np.stack([np.eye(3), turn.T]), np.zeros((2, 3)))
+
+
 def test_stacked_move_rejects_bad_stacks():
     system = random_system(np.random.default_rng(34))
     with pytest.raises(ShapeMismatch, match="motions need"):
@@ -571,6 +593,27 @@ def test_matches_the_dense_reference_bit_for_bit():
         tied += any(np.any(np.diff(full.distances[full.dst == d]) == 0) for d in range(n))
     assert compared >= 120 and capped >= 20 and tied >= 10, (compared, capped, tied)
 
+    # Crystals of the crystal_graph benchmark's density (0.048 atoms per cubic
+    # angstrom) and cutoff: bins half a cutoff wide that hold several atoms
+    # each, reached two bins away, in skewed cells with atoms stored outside
+    # the cell and some axes aperiodic.
+    for trial in range(6):
+        n = (64, 128, 256)[trial % 3]
+        edge = (n / 0.048) ** (1.0 / 3.0)
+        cell = np.diag(edge * rng.uniform(0.9, 1.1, 3)) + rng.uniform(-1.5, 1.5, (3, 3))
+        frac = rng.uniform(-0.1, 1.1, (n, 3))
+        pbc = (True, True, True) if trial < 3 else ((True, False, True), (False, True, True),
+                                                   (True, True, False))[trial - 3]
+        system = AtomicSystem(frac @ cell, rng.integers(1, 9, n), cell=cell, pbc=pbc)
+        max_neighbors = (40, 12)[trial % 2]
+        expected = dense_radius_graph(system, 6.0, max_neighbors)
+        graph = build_radius_graph(system, 6.0, max_neighbors)
+        assert expected.num_edges > 10 * n
+        for name in ("src", "dst", "offsets", "distances", "rel_vectors"):
+            got, want = getattr(graph, name), getattr(expected, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
 
 def test_batched_graphs_equal_graphs_built_one_at_a_time(mixed_batch):
     # One search over a batch's molecules, each crystal alone: every graph is
@@ -595,6 +638,56 @@ def test_batched_graphs_equal_graphs_built_one_at_a_time(mixed_batch):
             capped += int(np.bincount(graph.dst, minlength=1).max(initial=0) == max_neighbors)
             periodic += system.is_periodic
     assert systems_seen >= 200 and capped >= 30 and periodic >= 50, (systems_seen, capped, periodic)
+
+
+@pytest.mark.parametrize("spread", [1e8, 1e12, 1e20])
+def test_molecules_spread_far_apart_keep_every_edge(spread):
+    # Clusters of atoms this far apart need bin coordinates past what int64
+    # bin ids hold; their empty stretches are closed up first, and no step of
+    # the search wraps or overflows.
+    rng = np.random.default_rng(int(np.log10(spread)))
+    clusters = [centre + rng.uniform(-2.0, 2.0, (5, 3))
+                for centre in rng.uniform(-1.0, 1.0, (4, 3)) * spread]
+    systems = [AtomicSystem(np.concatenate(clusters), np.full(20, 6)),
+               AtomicSystem(clusters[0], np.full(5, 6)),
+               AtomicSystem(clusters[1] + [0.0, 0.0, spread], np.full(5, 8))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graphs = build_radius_graphs(systems, 3.0, 10)
+    for system, graph in zip(systems, graphs):
+        expected = brute_force_edges(system, 3.0, 10)
+        assert graph.edges == [(s, d, o) for s, d, o, _, _ in expected]
+        assert graph.num_edges > 0
+
+
+def test_a_slab_spread_far_along_its_aperiodic_axis_keeps_every_edge():
+    rng = np.random.default_rng(17)
+    cell = np.diag([8.0, 9.0, 10.0]) + rng.uniform(-0.5, 0.5, (3, 3))
+    frac = rng.uniform(0.0, 1.0, (24, 3))
+    frac[:, 2] = np.repeat([0.0, 1e15, -3e15], 8) + rng.uniform(0.0, 0.4, 24)
+    system = AtomicSystem(frac @ cell, np.full(24, 6), cell=cell, pbc=(True, True, False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graph = build_radius_graph(system, 3.0, 30)
+    expected = brute_force_edges(system, 3.0, 30)
+    assert graph.edges == [(s, d, o) for s, d, o, _, _ in expected]
+
+
+def test_closing_empty_stretches_changes_no_graph(mixed_batch, monkeypatch):
+    # With every bin grid counted as too large for exact ids, every search
+    # closes up its aperiodic axes first, and still returns the same bytes.
+    rng = np.random.default_rng(35)
+    batches = [mixed_batch(rng) for _ in range(15)]
+    settings = [(float(rng.uniform(1.5, 6.0)), int(rng.integers(1, 30))) for _ in batches]
+    plain = [build_radius_graphs(systems, *setting) for systems, setting in zip(batches, settings)]
+    monkeypatch.setattr(geometry, "EXACT_BIN_GRID", 0.0)
+    for systems, setting, graphs in zip(batches, settings, plain):
+        for got, want in zip(build_radius_graphs(systems, *setting), graphs):
+            for name in ("src", "dst", "offsets", "distances", "rel_vectors"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    monkeypatch.setattr(geometry, "MAX_BIN_IDS", 1.0)
+    with pytest.raises(ValueError, match="int64"):
+        build_radius_graphs(batches[0], *settings[0])
 
 
 def test_empty_batch_has_no_graphs():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from faframe.elements import number_to_symbol
 from faframe.errors import UnknownElement, XYZParseError
 from faframe.geometry import AtomicSystem
 from faframe.xyz import format_xyz, read_xyz, read_xyz_blocks, write_xyz
@@ -111,3 +112,20 @@ def test_format_emits_lattice_and_pbc():
     text = format_xyz(system)
     assert 'Lattice="' in text
     assert 'pbc="T T T"' in text
+
+
+def test_atom_lines_equal_formatting_each_value_on_its_own():
+    # The lines are built from Python floats, one format call per line; they
+    # must read exactly as "{:.12f}" of each numpy value, signed zeros and
+    # values that round to zero included.
+    rng = np.random.default_rng(21)
+    positions = rng.standard_normal((60, 3)) * 10.0 ** rng.integers(-15, 6, (60, 3))
+    positions[0] = (-0.0, 0.0, -1e-300)
+    positions[1] = (5e-13, -5e-13, 4.9999999999999e-13)
+    positions[2] = (-4e-13, 1e-12, -1e-12)
+    numbers = rng.integers(1, 119, 60)
+    system = AtomicSystem(positions, numbers)
+    old = "".join(f"{number_to_symbol(int(z))} " + " ".join("{:.12f}".format(v) for v in row) + "\n"
+                  for z, row in zip(system.atomic_numbers, system.positions))
+    assert format_xyz(system).split("\n", 2)[2] == old
+    assert "-0.000000000000" in old
