@@ -274,7 +274,9 @@ def _make_instance(family: str, parameter: int, angle: float | None) -> Benchmar
     """The certified pair of one family, parameter and angle, built once per process.
 
     The pair depends on nothing else, so its alignment search runs once. Its
-    arrays are read-only, because every later call shares them.
+    arrays are read-only, because every later call shares them. Only repeated
+    :func:`run_benchmark` calls in one process, such as a timing loop, reuse
+    it; the ``bench`` command runs each parameter once.
     """
     if family == "kchains":
         if angle is not None:

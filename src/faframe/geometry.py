@@ -47,10 +47,8 @@ BIN_SLACK = 1e-9
 # A periodic cell holds at most this many bins per axis, so that its bin
 # grid alone never outgrows exact ids.
 MAX_BINS_PER_CELL = 2.0**16
-# Bin coordinates are exact floats while the bin grid has fewer than
-# EXACT_BIN_GRID bins; a larger grid has its empty stretches closed up, and
-# one still past MAX_BIN_IDS cannot be numbered in int64.
-EXACT_BIN_GRID = 2.0**52
+# A bin grid of MAX_BIN_IDS bins or more, after the empty stretches of its
+# aperiodic axes are closed up, cannot be numbered in int64.
 MAX_BIN_IDS = 2.0**62
 _IDENTITY = np.eye(3)
 _UNIT = np.ones(3, dtype=np.int64)
@@ -192,6 +190,18 @@ class AtomicSystem:
         object.__setattr__(self, "cell", cell)
         object.__setattr__(self, "pbc", pbc)
 
+    def _moved(self, positions: np.ndarray, cell: np.ndarray | None) -> "AtomicSystem":
+        """This system rigidly moved to ``positions`` and ``cell``, which the
+        caller has checked to be finite float64 arrays of this system's shapes.
+
+        Every other field is shared, not validated again. A rotated cell keeps
+        its determinant's magnitude up to rounding, so it is not checked for
+        being singular again either.
+        """
+        moved = object.__new__(AtomicSystem)
+        moved.__dict__.update(self.__dict__, positions=positions, cell=cell)
+        return moved
+
     @property
     def num_atoms(self) -> int:
         return self.positions.shape[0]
@@ -284,17 +294,7 @@ def apply_transforms(system: AtomicSystem, rotations: np.ndarray,
     cells = [None] * len(rotations) if system.cell is None else system.cell @ turns
     if system.cell is not None and not np.isfinite(cells).all():
         raise NonFiniteInput("cell contains NaN or inf")
-    return [_moved_copy(system, moved, cell) for moved, cell in zip(positions, cells)]
-
-
-def _moved_copy(system: AtomicSystem, positions: np.ndarray,
-                cell: np.ndarray | None) -> AtomicSystem:
-    """``system`` at checked new coordinates, its other fields shared, not re-validated."""
-    copy = object.__new__(AtomicSystem)
-    for name, value in (("positions", positions), ("atomic_numbers", system.atomic_numbers),
-                        ("cell", cell), ("pbc", system.pbc)):
-        object.__setattr__(copy, name, value)
-    return copy
+    return [system._moved(moved, cell) for moved, cell in zip(positions, cells)]
 
 
 def apply_transform(system: AtomicSystem, transform: EuclideanTransform) -> AtomicSystem:
@@ -474,19 +474,14 @@ def build_radius_graphs(
     return graphs
 
 
-def _slab_sizes(cells: np.ndarray, firsts: np.ndarray, pbc: np.ndarray,
-                 bins_per_cell: np.ndarray, width: np.ndarray):
-    """Each system's lowest bin, its span of bins and the bins its slab takes
-    per axis, and the bins of the grid of all slabs per axis, as floats."""
-    low = np.minimum.reduceat(cells, firsts[:-1], axis=0)
-    span = np.maximum.reduceat(cells, firsts[:-1], axis=0) - low
-    slabs = np.where(pbc, bins_per_cell, span + width)
-    return low, span, slabs, np.array([slabs[:, 0].sum(), *slabs[:, 1:].max(axis=0)])
+def _too_many_bins(atoms: int) -> ValueError:
+    return ValueError(f"a radius graph of {atoms} atoms this far apart "
+                      "needs more bins than int64 ids can number")
 
 
-def _close_gaps(cells: np.ndarray, firsts: np.ndarray, axes: np.ndarray,
-                reach: np.ndarray) -> np.ndarray:
-    """Float bin coordinates with each system's empty stretches closed up, on ``axes``.
+def _close_gaps(cells: np.ndarray, owner: np.ndarray, axes: np.ndarray, reach: np.ndarray):
+    """Close up each system's empty stretches of float bin coordinates on
+    ``axes``, in place; ``owner`` numbers each row's system, in sorted order.
 
     Along each axis, every gap between a system's occupied coordinates that
     is wider than the reach shrinks to reach + 1. Coordinates within reach
@@ -495,14 +490,17 @@ def _close_gaps(cells: np.ndarray, firsts: np.ndarray, axes: np.ndarray,
     to at most (reach + 1) bins per atom, whatever the spread of its
     positions.
     """
-    cells = cells.copy()
-    owner = np.arange(len(firsts) - 1).repeat(np.diff(firsts))
-    for axis in np.flatnonzero(axes):
-        order = np.lexsort((cells[:, axis], owner))
-        gaps = np.minimum(np.diff(cells[order, axis]), float(reach[axis] + 1))
-        gaps[np.diff(owner) != 0] = 0.0  # owner is sorted: each system starts anew
-        cells[order, axis] = np.concatenate(([0.0], gaps.cumsum()))
-    return cells
+    axes = axes.nonzero()[0]
+    part = cells[:, axes]
+    # Rows sorted by system, then coordinate, on each axis; owner is already
+    # sorted, so each system's rows keep their own row numbers.
+    order = np.lexsort((part, owner[:, None].repeat(len(axes), axis=1)), axis=0)
+    gaps = np.diff(cells[order, axes], axis=0)
+    np.minimum(gaps, reach[axes] + 1.0, out=gaps)
+    gaps[owner[1:] != owner[:-1]] = 0.0  # no gap between one system's rows and the next's
+    closed = np.zeros_like(part)
+    gaps.cumsum(axis=0, out=closed[1:])
+    cells[order, axes] = closed
 
 
 def _edge_order(dst: np.ndarray, dist: np.ndarray, tie: np.ndarray) -> np.ndarray:
@@ -546,26 +544,31 @@ def _search(systems: list[AtomicSystem], cutoff: float, max_neighbors: int) -> l
         bins_per_cell = np.clip(np.floor(2.0 * per_cutoff), 1.0, MAX_BINS_PER_CELL)
         reach = np.ceil(bins_per_cell / per_cutoff).astype(np.int64)
         bins_per_cell = bins_per_cell.astype(np.int64)
-        cells = np.floor(positions @ (inverse * bins_per_cell))
+        scale = inverse * bins_per_cell
     else:
         # Molecules keep bins a cutoff wide: with few atoms per bin, finer
         # bins save fewer distances than the longer stencil costs.
         positions = np.concatenate([system.positions for system in systems])
         cell = _IDENTITY  # the one offset, 0, then shifts by exactly +0.0
         bins_per_cell = reach = _UNIT
-        cells = np.floor(positions * (1.0 / padded))
+        scale = _IDENTITY / padded
 
+    # Bin coordinates stay floats until the bin grid is known to fit exact
+    # int64 ids. Aperiodic axes first have their empty stretches closed up,
+    # so their spans follow the atom count, not the spread of the positions.
+    with np.errstate(over="ignore"):  # a coordinate past the float range raises next
+        cells = np.floor(positions @ scale)
+    if not np.isfinite(cells).all():
+        raise _too_many_bins(len(positions))
+    if not pbc.all():
+        _close_gaps(cells, np.arange(len(systems)).repeat(counts), ~pbc, reach)
     width = 2 * reach + 1  # bins in the stencil along each axis
-    # Bin coordinates stay floats until the bin grid is known to be small
-    # enough for exact int64 ids; a wider spread on an aperiodic axis first
-    # has its empty stretches closed up.
-    low, span, slabs, size = _slab_sizes(cells, firsts, pbc, bins_per_cell, width)
-    if math.prod(size.tolist()) >= EXACT_BIN_GRID:
-        cells = _close_gaps(cells, firsts, ~pbc, reach)
-        low, span, slabs, size = _slab_sizes(cells, firsts, pbc, bins_per_cell, width)
-        if math.prod(size.tolist()) >= MAX_BIN_IDS:
-            raise ValueError(f"a radius graph of {len(positions)} atoms this far apart "
-                             "needs more bins than int64 ids can number")
+    low = np.minimum.reduceat(cells, firsts[:-1], axis=0)
+    span = np.maximum.reduceat(cells, firsts[:-1], axis=0) - low
+    slabs = np.where(pbc, bins_per_cell, span + width)
+    size = np.array([slabs[:, 0].sum(), *slabs[:, 1:].max(axis=0)])
+    if math.prod(size.tolist()) >= MAX_BIN_IDS:
+        raise _too_many_bins(len(positions))
     slabs, size = slabs.astype(np.int64), size.astype(np.int64)
 
     # Lift each system's lowest bin to `reach`: on an aperiodic axis every

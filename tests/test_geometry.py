@@ -673,21 +673,46 @@ def test_a_slab_spread_far_along_its_aperiodic_axis_keeps_every_edge():
     assert graph.edges == [(s, d, o) for s, d, o, _, _ in expected]
 
 
-def test_closing_empty_stretches_changes_no_graph(mixed_batch, monkeypatch):
-    # With every bin grid counted as too large for exact ids, every search
-    # closes up its aperiodic axes first, and still returns the same bytes.
+def test_closing_empty_stretches_keeps_every_step():
+    # On the closed axes, coordinates within reach of each other keep their
+    # distance and all others stay out of reach, so every step finds the same
+    # atoms; each system spans at most reach + 1 bins per atom.
     rng = np.random.default_rng(35)
-    batches = [mixed_batch(rng) for _ in range(15)]
-    settings = [(float(rng.uniform(1.5, 6.0)), int(rng.integers(1, 30))) for _ in batches]
-    plain = [build_radius_graphs(systems, *setting) for systems, setting in zip(batches, settings)]
-    monkeypatch.setattr(geometry, "EXACT_BIN_GRID", 0.0)
-    for systems, setting, graphs in zip(batches, settings, plain):
-        for got, want in zip(build_radius_graphs(systems, *setting), graphs):
-            for name in ("src", "dst", "offsets", "distances", "rel_vectors"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for _ in range(40):
+        counts = rng.integers(1, 12, int(rng.integers(1, 5)))
+        firsts = np.concatenate(([0], counts.cumsum()))
+        cells = np.floor(rng.standard_normal((firsts[-1], 3)) * 10.0 ** rng.integers(0, 18, 3))
+        axes = rng.permutation([True, *rng.integers(0, 2, 2).astype(bool)])
+        reach = rng.integers(1, 3, 3)
+        closed = cells.copy()
+        geometry._close_gaps(closed, np.arange(len(counts)).repeat(counts), axes, reach)
+        assert closed[:, ~axes].tobytes() == cells[:, ~axes].tobytes()
+        for a, b in zip(firsts[:-1], firsts[1:]):
+            before, after = cells[a:b, axes], closed[a:b, axes]
+            assert (np.ptp(after, axis=0) <= (reach[axes] + 1) * (b - a - 1)).all()
+            apart = np.abs(before[:, None] - before[None])
+            near = apart <= reach[axes]
+            moved = np.abs(after[:, None] - after[None])
+            assert (moved[near] == apart[near]).all()
+            assert (moved > reach[axes])[~near].all()
+
+
+def test_bins_past_int64_or_the_float_range_raise(mixed_batch, monkeypatch):
+    # At a 0.5 A cutoff, coordinates near 1e308 A have bin coordinates past the
+    # float range, on an aperiodic and on a periodic axis.
+    cell = np.diag([2.0, 2.0, 2.0])
+    far = [AtomicSystem([[1.7e308, 0.0, 0.0], [1.7e308, 0.1, 0.0], [0.0, 0.0, 0.0]], [6, 6, 6]),
+           AtomicSystem([[0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0]], [6, 6]),
+           AtomicSystem([[1.7e308, 0.0, 0.0], [0.0, 0.0, 0.0]], [6, 6], cell=cell,
+                        pbc=(True, False, False))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for system in far:
+            with pytest.raises(ValueError, match="int64"):
+                build_radius_graph(system, 0.5, 8)
     monkeypatch.setattr(geometry, "MAX_BIN_IDS", 1.0)
     with pytest.raises(ValueError, match="int64"):
-        build_radius_graphs(batches[0], *settings[0])
+        build_radius_graphs(mixed_batch(np.random.default_rng(35)), 3.0, 8)
 
 
 def test_empty_batch_has_no_graphs():
