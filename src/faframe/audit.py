@@ -6,11 +6,12 @@ meV/angstrom. Rotation metrics sample det +1 rotations, reflection metrics
 sample det -1 rigid motions; one panel of both serves every system. The
 ``pos`` flag records whether the canonicalization machinery mapped every
 transformed copy to the same representation: 1 means the canonical-view
-multisets coincide for all sampled transforms. A system's transformed
-copies are framed together in one :func:`~faframe.frames.compute_frames`
-call, and each copy's stack of canonical views is compared with the
-system's own. Systems whose frames are degenerate are counted and left out
-of every metric; an empty list of systems is an error.
+multisets coincide for all sampled transforms. A system and each of its
+transformed copies are planned once, by :func:`~faframe.frames.plan_views`;
+each copy's canonical views, from its plan's frame, are compared with the
+system's own, and each prediction is made from its plan. Systems whose
+frames are degenerate are counted and left out of every metric; an empty
+list of systems is an error.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import EmptyBatch
-from .faenet import FAENetConfig, FAENetModel, forward
-from .frames import Frame, canonical_views, compute_frames
+from .faenet import FAENetConfig, FAENetModel, predict_views
+from .frames import ViewPlan, canonical_views, compute_frames, plan_views
 from .geometry import (
     E3,
     SE3,
@@ -78,14 +79,15 @@ def _probe_panel(rng: np.random.Generator, num_transforms: int) -> tuple[np.ndar
             np.concatenate([translations, shifts]))
 
 
-def _representation(system: AtomicSystem, frame: Frame | None) -> np.ndarray:
+def _representation(system: AtomicSystem, plan: ViewPlan) -> np.ndarray:
     """What the model is shown of a system: a ``(views, rows, 3)`` stack of
-    positions plus cell rows, if any, of each canonical view of ``frame``, or
-    of the raw input when ``frame`` is None (nothing is canonicalized)."""
-    if frame is None:
+    positions plus cell rows, if any, of each canonical view of the frame of
+    its one-system ``plan``, or of the raw input when the plan frames nothing."""
+    if plan.frames is None:
         positions = system.positions[None]
         cells = None if system.cell is None else system.cell[None]
     else:
+        frame, = plan.frames
         positions, cells = canonical_views(system, frame.translation, frame.rotations)
     return positions if cells is None else np.concatenate([positions, cells], axis=1)
 
@@ -148,17 +150,16 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
         if frame.degenerate:
             degenerate_count += 1
             continue
-        base = forward(model, system, fa_mode=fa_mode, group=group, rng=rng)
-        moved = apply_transforms(system, rotations, translations)
+        copies = [system, *apply_transforms(system, rotations, translations)]
+        # One at a time and in this order, as forward would plan each.
+        plans = [plan_views([copy], fa_mode, group, rng) for copy in copies]
         if pos:
-            # The representations draw nothing from rng, so checking them
-            # ahead of the predictions leaves the rng stream unchanged.
-            probe_frames = compute_frames(moved, group) if canonical else [None] * len(moved)
-            reference = _representation(system, frame if canonical else None)
-            pos = int(all(_multisets_match(reference, _representation(copy, copy_frame))
-                          for copy, copy_frame in zip(moved, probe_frames)))
-        for rotation, copy in zip(rotations, moved):
-            prediction = forward(model, copy, fa_mode=fa_mode, group=group, rng=rng)
+            reference = _representation(system, plans[0])
+            pos = int(all(_multisets_match(reference, _representation(copy, plan))
+                          for copy, plan in zip(copies[1:], plans[1:])))
+        base, *predictions = [predict_views(model, copy, plan)
+                              for copy, plan in zip(copies, plans)]
+        for rotation, prediction in zip(rotations, predictions):
             shifts.append(abs(prediction.energy - base.energy))
             if force_metrics:
                 expected = base.forces @ rotation.T

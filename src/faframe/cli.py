@@ -23,7 +23,7 @@ from .audit import audit_model, format_report_table
 from .errors import FaframeError
 from .expressivity import default_benchmark_config, run_benchmark
 from .faenet import GRADCHECK_CONFIG, FAENetConfig, FAENetModel, run_gradient_check
-from .frames import FA_MODES, canonical_views, compute_frames
+from .frames import FA_MODES, canonical_views, plan_views
 from .geometry import E3, AtomicSystem, normalize_group
 from .xyz import format_xyz, read_xyz_blocks
 
@@ -82,12 +82,12 @@ def _read_systems_dir(directory: str):
 def _cmd_canonicalize(args) -> int:
     group = normalize_group(args.group)
     systems = [system for system, _ in read_xyz_blocks(args.input)]
-    rng = None
-    if args.sample is not None:
-        rng = np.random.default_rng(args.sample)
+    rng = None if args.sample is None else np.random.default_rng(args.sample)
+    plan = plan_views(systems, "full" if rng is None else "stochastic", group, rng)
+    stacks = np.split(plan.rotation, np.searchsorted(plan.sample, np.arange(1, len(systems))))
     pieces = []
     saw_degenerate = False
-    for index, (system, frame) in enumerate(zip(systems, compute_frames(systems, group))):
+    for index, (system, frame, rotations) in enumerate(zip(systems, plan.frames, stacks)):
         if frame.degenerate:
             saw_degenerate = True
             print(
@@ -95,9 +95,6 @@ def _cmd_canonicalize(args) -> int:
                 f"falling back to the identity rotation at the centroid",
                 file=sys.stderr,
             )
-        rotations = frame.rotations
-        if rng is not None:
-            rotations = rotations[[int(rng.integers(len(rotations)))]]
         positions, cells = canonical_views(system, frame.translation, rotations)
         for position, view_positions in enumerate(positions):
             view = AtomicSystem(view_positions, system.atomic_numbers,

@@ -206,18 +206,6 @@ class Segments(NamedTuple):
     starts: np.ndarray
     heads: np.ndarray
 
-    def window(self, start: int, stop: int, base: int) -> "Segments":
-        """The index of rows ``start:stop``, with ``base`` taken off every id.
-
-        Valid when those rows hold a block of ids above every earlier row's
-        and below every later row's, as one graph of a disjoint batch does;
-        every piece is then a slice.
-        """
-        first, last = np.searchsorted(self.starts, (start, stop))
-        order = None if self.order is None else self.order[start:stop] - start
-        return Segments(self.ids[start:stop] - base, order,
-                        self.starts[first:last] - start, self.heads[first:last] - base)
-
 
 def segments(ids) -> Segments:
     """Sort ``ids`` once, stably, so each id keeps its rows in input order."""

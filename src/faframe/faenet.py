@@ -277,14 +277,14 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
 
 
 def _views(batch: _Batch, start: int, stop: int) -> _Batch:
-    """Views ``start:stop`` as a batch: no edge leaves its view, so all are slices."""
+    """Views ``start:stop`` as a batch: no edge leaves its view, so its rows are slices."""
     a0, a1 = batch.view_atoms[start], batch.view_atoms[stop]
     e0, e1 = batch.view_edges[start], batch.view_edges[stop]
     return _Batch(
         z_index=batch.z_index[a0:a1],
         edge_features=batch.edge_features[e0:e1],
-        src=batch.src.window(e0, e1, a0),
-        dst=batch.dst.window(e0, e1, a0),
+        src=dm.segments(batch.src.ids[e0:e1] - a0),
+        dst=dm.segments(batch.dst.ids[e0:e1] - a0),
         atom_output=batch.atom_output[a0:a1] - start,
         atom_input=batch.atom_input[a0:a1],
         view_atoms=batch.view_atoms[start:stop + 1] - a0,
@@ -388,7 +388,12 @@ def _heads(model: FAENetModel, batch: _Batch, h_out: DiffValue,
 def forward(model: FAENetModel, system: AtomicSystem, fa_mode: str = "full",
             group: str = E3, rng: np.random.Generator | None = None) -> Prediction:
     """Predict energy (and forces if configured) for one system."""
-    plan = plan_views([system], fa_mode, group, rng)
+    return predict_views(model, system, plan_views([system], fa_mode, group, rng))
+
+
+def predict_views(model: FAENetModel, system: AtomicSystem, plan: ViewPlan) -> Prediction:
+    """Predict energy (and forces if configured) for one system from its
+    :func:`~faframe.frames.plan_views` plan."""
     batch = _make_batch([system], plan, model.config)
     with dm.no_grad():
         energy, forces = _average_views(model, plan, batch, model.config.predict_forces)

@@ -23,12 +23,13 @@ covariances of all its systems in one stacked eigendecomposition, and
 :func:`canonical_views` turns a system by a whole stack of frame rotations
 at once, and :func:`canonicalize` is its one-element call.
 
-A view is a rotation of its input system. :func:`plan_views` turns a batch
-of systems and an ``fa_mode`` into one rotation per view, framing the whole
-batch at once; distances, and so neighbour graphs, are the same in every
-view. Inference, training and gradient checking in :mod:`faframe.faenet`
-build a batch's graphs once and turn their edge vectors per view; the audit
-predicts through the same path.
+A view is a rotation of its input system. :func:`plan_views` frames a
+batch of systems at once and picks one rotation per view for an
+``fa_mode``; its :class:`ViewPlan` keeps the frames it solved. Distances,
+and so neighbour graphs, are the same in every view. Inference, training
+and gradient checking in :mod:`faframe.faenet` build a batch's graphs once
+and turn their edge vectors per view; the audit and ``faframe
+canonicalize`` read their views and frames from plans.
 
 :func:`compute_frame`, :func:`canonicalize`, :class:`CanonicalView` and
 :attr:`Frame.elements` (each frame element as a validated
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteInput
 from .geometry import (
     E3,
     SE3,
@@ -87,8 +89,10 @@ class Frame:
 
     @property
     def elements(self) -> tuple[EuclideanTransform, ...]:
-        """The elements as rigid motions, built on each access."""
-        return tuple(EuclideanTransform(rotation, self.translation)
+        """The elements as rigid motions, built on each access from a
+        rotation stack that is checked once."""
+        check_orthogonal(self.rotations)
+        return tuple(EuclideanTransform._checked(rotation, self.translation)
                      for rotation in self.rotations)
 
 
@@ -118,7 +122,8 @@ def compute_frames(systems: Sequence[AtomicSystem], group: str = E3) -> list[Fra
     flipped so its largest-magnitude entry (first on ties) is >= 0, and the
     sign-fixed bases are validated together as rotations. Every element is a
     basis with some columns negated, which is exact, so that one check covers
-    them all. SE3 and Z_AXIS_2D keep the sign choices that give det +1.
+    them all. SE3 and Z_AXIS_2D keep the sign choices that give det +1. A
+    covariance that overflows float64 raises NonFiniteInput naming its system.
     """
     group = normalize_group(group)
     if group not in FRAME_GROUPS:
@@ -128,15 +133,22 @@ def compute_frames(systems: Sequence[AtomicSystem], group: str = E3) -> list[Fra
 
     planar = group == Z_AXIS_2D
     centroids, covariances = [], []
-    for system in systems:
-        positions = system.positions
-        centroid = positions.mean(axis=0)
-        centered = positions - centroid
-        if planar:
-            centered = centered[:, :2]
-        centroids.append(centroid)
-        covariances.append(centered.T @ centered)
-    values, vectors = np.linalg.eigh(np.array(covariances))
+    # Finite positions can still overflow; an infinite covariance raises next.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for system in systems:
+            positions = system.positions
+            centroid = positions.mean(axis=0)
+            centered = positions - centroid
+            if planar:
+                centered = centered[:, :2]
+            centroids.append(centroid)
+            covariances.append(centered.T @ centered)
+    covariances = np.array(covariances)
+    finite = np.isfinite(covariances).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteInput(f"system {np.argmin(finite)}: the position covariance overflows "
+                             f"float64; coordinates are too large to frame")
+    values, vectors = np.linalg.eigh(covariances)
     values = values[:, ::-1]
     vectors = vectors[:, :, ::-1]
     gap = (-np.diff(values, axis=1)).min(axis=1) / np.maximum(values[:, 0], DEGENERACY_FLOOR)
@@ -197,12 +209,15 @@ class ViewPlan:
     right-multiplied by ``rotation[i]`` (a ``(V, 3, 3)`` stack), so
     ``rotation[i].T`` maps it back to the input pose. It enters its system's
     average with ``weight[i]``; the weights of each system sum to one.
+    ``frames`` holds each system's whole :class:`Frame` in ``full`` and
+    ``stochastic`` mode, and is None in the modes that frame nothing.
     """
 
     sample: np.ndarray
     rotation: np.ndarray
     weight: np.ndarray
     num_systems: int
+    frames: list[Frame] | None
 
 
 def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = E3,
@@ -219,6 +234,7 @@ def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = 
         raise ValueError(f"fa_mode must be one of {FA_MODES}, got {fa_mode!r}")
     if fa_mode in ("stochastic", "data_augment") and rng is None:
         raise ValueError(f"{fa_mode} mode needs an rng")
+    frames = compute_frames(systems, group) if fa_mode in ("full", "stochastic") else None
     if fa_mode == "none":
         stacks = [np.eye(3)[None]] * len(systems)
     elif fa_mode == "data_augment":
@@ -227,11 +243,11 @@ def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = 
         rotations, _ = random_transforms(group, rng, len(systems))
         stacks = list(np.swapaxes(rotations, 1, 2)[:, None])
     else:
-        stacks = [frame.rotations for frame in compute_frames(systems, group)]
+        stacks = [frame.rotations for frame in frames]
         if fa_mode == "stochastic":
             stacks = [chosen[[int(rng.integers(len(chosen)))]] for chosen in stacks]
     sizes = np.array([len(chosen) for chosen in stacks], dtype=np.int64)
     # C order, whatever the stacks' layout: products with it round by layout.
     rotation = np.ascontiguousarray(np.concatenate(stacks)) if stacks else np.empty((0, 3, 3))
     return ViewPlan(np.arange(len(systems)).repeat(sizes), rotation, (1.0 / sizes).repeat(sizes),
-                    len(systems))
+                    len(systems), frames)

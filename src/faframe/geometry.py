@@ -214,9 +214,12 @@ class AtomicSystem:
 def check_orthogonal(rotations: np.ndarray) -> np.ndarray:
     """Determinants of a (3, 3) matrix or a (k, 3, 3) stack of them.
 
-    Raises ValueError, naming the first offender, unless every matrix has
-    ``max |U^T U - I|`` and ``||det U| - 1|`` within ``ORTHONORMAL_TOL``.
+    Raises ValueError if any matrix holds NaN or inf, which fail every
+    comparison, and otherwise, naming the first offender, unless every matrix
+    has ``max |U^T U - I|`` and ``||det U| - 1|`` within ``ORTHONORMAL_TOL``.
     """
+    if not np.isfinite(rotations).all():
+        raise ValueError("rotation contains NaN or inf")
     gram_error = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - _IDENTITY).max(axis=(-2, -1))
     det = np.linalg.det(rotations)
     bad = (gram_error > ORTHONORMAL_TOL) | (np.abs(np.abs(det) - 1.0) > ORTHONORMAL_TOL)
@@ -250,6 +253,15 @@ class EuclideanTransform:
         check_orthogonal(rotation)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
+
+    @classmethod
+    def _checked(cls, rotation: np.ndarray, translation: np.ndarray) -> "EuclideanTransform":
+        """The motion ``(rotation, translation)``, which the caller has checked
+        to be a float64 orthogonal ``(3, 3)`` matrix and a float64 ``(3,)``
+        vector; it is not validated again."""
+        transform = object.__new__(cls)
+        transform.__dict__.update(rotation=rotation, translation=translation)
+        return transform
 
     @property
     def det(self) -> float:

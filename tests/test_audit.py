@@ -12,7 +12,7 @@ from faframe.audit import (
     format_report_table,
 )
 from faframe.errors import EmptyBatch
-from faframe.faenet import FAENetConfig, FAENetModel
+from faframe.faenet import FAENetConfig, FAENetModel, forward
 from faframe.geometry import SE3, AtomicSystem
 
 CONFIG = FAENetConfig(
@@ -48,10 +48,10 @@ def fixed_systems(seed, count=4):
 
 
 def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
-    # The base systems are framed once as a batch, for the degeneracy check
-    # and their canonical views, and once more by their prediction: twice,
-    # however many transforms are probed. The probes of one system are
-    # framed together, in one call of the audit's own.
+    # The base systems are framed once as a batch, for the degeneracy check,
+    # and once more by their view plan: twice, however many transforms are
+    # probed. Each probe is framed once, by its plan, which serves both its
+    # canonical views and its prediction; the audit frames nothing per system.
     systems = fixed_systems(1, count=2)
     # Frames are built in batches; every system that enters one counts.
     framed = []
@@ -84,10 +84,10 @@ def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
     assert report.pos == 1
     for system in systems:
         assert sum(s is system for s in framed) == 2
-    # each of the 2 x 3 moved copies: its canonical views and its prediction
-    assert len(framed) == len(systems) * (2 + 2 * 3 * 2)
-    # the base batch, then one batch of 2 x 3 probes per audited system
-    assert audit_batches == [len(systems)] + [2 * 3] * len(systems)
+    # each of the 2 x 3 moved copies once
+    assert len(framed) == len(systems) * (2 + 2 * 3)
+    # the base batch only
+    assert audit_batches == [len(systems)]
 
     # SE3 frames have half as many elements as E3 frames; the audit builds
     # the same transforms for both.
@@ -97,6 +97,34 @@ def test_audit_frames_each_base_system_a_fixed_number_of_times(monkeypatch):
                          rng=np.random.default_rng(2))
     assert report.num_systems == len(systems)
     assert len(built) == e3_built
+
+
+@pytest.mark.parametrize("fa_mode", ["stochastic", "data_augment"])
+@pytest.mark.parametrize("group", ["E3", "SE3", "Z_AXIS_2D"])
+def test_audit_predicts_and_draws_as_one_forward_per_copy(fa_mode, group):
+    # The oracle: the probe panel, then, per audited system, forward on the
+    # system and on each moved copy in turn, all drawing from one rng. A
+    # degenerate system is skipped and draws nothing.
+    single = AtomicSystem(np.array([[0.4, -0.1, 2.0]]), np.array([6]))
+    systems = [fixed_systems(5, count=1)[0], single, *fixed_systems(6, count=1)]
+    model = FAENetModel(FORCE_CONFIG, np.random.default_rng(0))
+    rng = np.random.default_rng(8)
+    report = audit_model(model, systems, fa_mode=fa_mode, group=group, num_transforms=2,
+                         rng=rng)
+
+    shared = np.random.default_rng(8)
+    rotations, translations = audit._probe_panel(shared, 2)
+    shifts = []
+    for system in (systems[0], systems[2]):
+        base = forward(model, system, fa_mode=fa_mode, group=group, rng=shared)
+        for copy in geometry.apply_transforms(system, rotations, translations):
+            moved = forward(model, copy, fa_mode=fa_mode, group=group, rng=shared)
+            shifts.append(abs(moved.energy - base.energy))
+    assert report.degenerate_count == 1 and report.num_systems == 2
+    assert rng.bit_generator.state == shared.bit_generator.state
+    per_kind = np.reshape(shifts, (2, 2, 2)) * audit.EV_TO_MEV
+    assert report.rot_i == float(np.mean(per_kind[:, 0].ravel()))
+    assert report.refl_i == float(np.mean(per_kind[:, 1].ravel()))
 
 
 def test_audit_of_no_systems_is_an_empty_batch():

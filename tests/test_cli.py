@@ -19,7 +19,7 @@ from faframe import cli
 from faframe import diffmath as dm
 from faframe.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, main
 from faframe.faenet import GRADCHECK_CONFIG
-from faframe.frames import compute_frame
+from faframe.frames import canonical_views, compute_frame, compute_frames
 from faframe.geometry import E3, AtomicSystem, apply_transform, random_transform
 from faframe.xyz import format_xyz, read_xyz_blocks
 
@@ -139,6 +139,58 @@ def test_canonicalize_rejects_non_finite_coordinates(tmp_path, capsys, bad):
     assert code == EXIT_ERROR
     assert captured.out == ""
     assert "faframe: error: positions contain NaN or inf" in captured.err
+
+
+def test_canonicalize_rejects_a_covariance_that_overflows(tmp_path, capsys):
+    # Every coordinate is finite; only the frame's covariance is not.
+    source = tmp_path / "in.xyz"
+    source.write_text("3\n\nC 1e200 0 0\nO -1e200 0 0\nH 0 1 0.5\n")
+    code = main(["canonicalize", str(source)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err == ("faframe: error: system 0: the position covariance overflows "
+                            "float64; coordinates are too large to frame\n")
+
+
+def _multi_block_file(path):
+    """Write two molecules around a crystal and a degenerate block as one file."""
+    rng = np.random.default_rng(14)
+    cell = np.array([[5.0, 0.3, 0.0], [0.2, 5.5, 0.1], [0.0, 0.4, 6.0]])
+    systems = [
+        AtomicSystem(rng.standard_normal((5, 3)) * 1.5, rng.integers(1, 18, size=5)),
+        AtomicSystem(rng.uniform(0, 1, (6, 3)) @ cell, rng.integers(1, 18, size=6), cell,
+                     (True, True, True)),
+        AtomicSystem(np.array([[0.4, -0.1, 2.0]]), np.array([6])),
+        AtomicSystem(rng.standard_normal((7, 3)) * 1.5, rng.integers(1, 18, size=7)),
+    ]
+    path.write_text("".join(format_xyz(system) for system in systems))
+
+
+@pytest.mark.parametrize("group", ["E3", "SE3", "Z_AXIS_2D"])
+def test_canonicalize_sample_draws_one_element_per_system_in_order(tmp_path, capsys, group):
+    # The pick written out: for each system in file order, one draw of
+    # integers(elements) from the seeded stream, degenerate systems included.
+    source = tmp_path / "in.xyz"
+    _multi_block_file(source)
+    systems = [system for system, _ in read_xyz_blocks(source)]
+    code = main(["canonicalize", str(source), "--group", group, "--sample", "7"])
+    captured = capsys.readouterr()
+    assert code == EXIT_DEGENERATE
+    assert captured.err.count("degenerate frame") == 1 and "system 2 " in captured.err
+    rng = np.random.default_rng(7)
+    expected = []
+    for index, system in enumerate(systems):
+        frame = compute_frames(systems, group)[index]
+        rotations = frame.rotations[[rng.integers(len(frame.rotations))]]
+        positions, cells = canonical_views(system, frame.translation, rotations)
+        view = AtomicSystem(positions[0], system.atomic_numbers,
+                            None if cells is None else cells[0], system.pbc)
+        extra = {"system_index": index, "frame_index": 0, "group": group}
+        if frame.degenerate:
+            extra["degenerate"] = "T"
+        expected.append(format_xyz(view, extra=extra))
+    assert captured.out == "".join(expected)
 
 
 # --------------------------------------------------------------------- audit

@@ -145,26 +145,6 @@ def test_segment_index_scatters_like_raw_ids(case):
     np.testing.assert_array_equal(grads[0], grads[1])
 
 
-def test_segment_index_window_is_the_index_of_its_rows():
-    # Disjoint id blocks, unsorted inside, as the views of a batch; one is empty.
-    rng = np.random.default_rng(3)
-    blocks = [rng.integers(0, 4, size=k) for k in (5, 0, 7, 6)]
-    ids = np.concatenate([block + 4 * i for i, block in enumerate(blocks)])
-    bounds = np.cumsum([0] + [len(block) for block in blocks])
-    index = dm.segments(ids)
-    values = rng.standard_normal((len(ids), 2))
-    for first in range(len(blocks)):
-        for last in range(first + 1, len(blocks) + 1):
-            start, stop, base = bounds[first], bounds[last], 4 * first
-            window = index.window(start, stop, base)
-            direct = dm.segments(ids[start:stop] - base)
-            for field in ("ids", "starts", "heads"):
-                np.testing.assert_array_equal(getattr(window, field), getattr(direct, field))
-            n = 4 * (last - first)
-            np.testing.assert_array_equal(dm._scatter_rows(values[start:stop], window, n),
-                                          dm._scatter_rows(values[start:stop], direct, n))
-
-
 def test_segment_sum_rejects_out_of_range_ids():
     with pytest.raises(ValueError):
         dm.segment_sum(dm.DiffValue(np.ones((2, 1))), np.array([0, 5]), 3)
@@ -230,12 +210,13 @@ def test_edge_gate_is_bitwise_the_unfused_composition(case, monkeypatch):
 
 
 def test_edge_gate_over_a_window_is_bitwise_the_unfused_composition():
-    # Two disjoint graphs in one batch; the second is gated through windows.
+    # Two disjoint graphs in one batch; the second is gated through the
+    # index of its sliced ids, as a chunk of views is.
     rng = np.random.default_rng(4)
     dst = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 7)])
     src = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 7)])
-    a_index = dm.segments(dst).window(5, 12, 3)
-    b_index = dm.segments(src).window(5, 12, 3)
+    a_index = dm.segments(dm.segments(dst).ids[5:12] - 3)
+    b_index = dm.segments(dm.segments(src).ids[5:12] - 3)
     arrays = [rng.standard_normal((7, 3)), rng.standard_normal((4, 3)),
               rng.standard_normal((4, 3))]
     weights = rng.standard_normal((7, 3))
@@ -310,12 +291,13 @@ def test_message_sum_is_bitwise_the_unfused_composition(case, monkeypatch):
 
 
 def test_message_sum_over_a_window_is_bitwise_the_unfused_composition(monkeypatch):
-    # Two disjoint graphs in one batch; the second is summed through windows.
+    # Two disjoint graphs in one batch; the second is summed through the
+    # index of its sliced ids, as a chunk of views is.
     rng = np.random.default_rng(7)
     dst = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 9)])
     src = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 9)])
-    src_index = dm.segments(src).window(5, 14, 3)
-    dst_index = dm.segments(dst).window(5, 14, 3)
+    src_index = dm.segments(dm.segments(src).ids[5:14] - 3)
+    dst_index = dm.segments(dm.segments(dst).ids[5:14] - 3)
     arrays = [rng.standard_normal((9, 3)), rng.standard_normal((4, 3))]
     weights = rng.standard_normal((4, 3))
     expected = _message_grads(_unfused_message_sum, arrays, src[5:] - 3, dst[5:] - 3, 4, weights)

@@ -10,6 +10,7 @@ from faframe.errors import (
     EmptyBatch,
     FaframeError,
     NoForcesRequested,
+    NonFiniteInput,
     NonFiniteLoss,
     UnknownElement,
 )
@@ -546,6 +547,19 @@ def test_empty_batch_is_one_named_error():
         training_forward(model, [], "full", E3, None, False)
     with pytest.raises(EmptyBatch, match="empty batch"):
         train_step(model, [], dm.AdamW(model.parameters()), fa_mode="full")
+
+
+@pytest.mark.parametrize("fa_mode", ["full", "stochastic"])
+def test_forward_on_a_covariance_that_overflows_is_non_finite_input(fa_mode):
+    # Every position is finite and atoms 0-1 and 2-3 are edges, but the
+    # covariance is past the float range: no NaN energy comes back.
+    at_range = np.array([[1e200, 0.0, 0.0], [1e200, 0.0, 1.0],
+                         [-1e200, 0.0, 0.0], [-1e200, 1.0, 0.0]])
+    system = AtomicSystem(at_range, np.full(4, 6))
+    assert build_radius_graph(system, TINY.cutoff, TINY.max_neighbors).num_edges == 4
+    model = FAENetModel(TINY, np.random.default_rng(0))
+    with pytest.raises(NonFiniteInput, match="covariance overflows"):
+        forward(model, system, fa_mode=fa_mode, rng=np.random.default_rng(1))
 
 
 # ------------------------------------------------------------------ training

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from faframe.errors import NonFiniteInput
 from faframe.geometry import (
     E3,
     SE3,
@@ -373,6 +374,46 @@ def test_a_basis_that_is_not_orthogonal_is_rejected(monkeypatch):
             compute_frames(systems, group)
 
 
+@pytest.mark.parametrize("name", ["E3", "SE3", "Z_AXIS_2D", "degenerate"])
+def test_elements_are_the_validated_transforms_bit_for_bit(name):
+    system = random_system(np.random.default_rng(37))
+    if name == "degenerate":
+        frame = compute_frame(AtomicSystem(np.array([[1.0, 2.0, 3.0]]), np.array([6])), E3)
+    else:
+        frame = compute_frame(system, name)
+    assert frame.degenerate == (name == "degenerate")
+    elements = frame.elements
+    assert len(elements) == len(frame.rotations)
+    for rotation, element in zip(frame.rotations, elements):
+        validated = EuclideanTransform(rotation, frame.translation)
+        for field in ("rotation", "translation"):
+            got, want = getattr(element, field), getattr(validated, field)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert element.det == validated.det
+
+
+def test_elements_of_a_frame_that_is_not_orthogonal_are_rejected():
+    frame = compute_frame(random_system(np.random.default_rng(38)), E3)
+    bent = frames.Frame(frame.rotations * 1.001, frame.translation, frame.eigenvalues,
+                        frame.group, frame.degenerate)
+    with pytest.raises(ValueError, match="rotation is not orthogonal"):
+        bent.elements
+
+
+def test_a_covariance_that_overflows_is_non_finite_input():
+    # Finite positions whose squares pass the float range: the covariance
+    # overflows rather than the input.
+    at_range = np.array([[1e200, 0.0, 0.0], [1e200, 0.0, 1.0],
+                         [-1e200, 0.0, 0.0], [-1e200, 1.0, 0.0]])
+    system = AtomicSystem(at_range, np.full(4, 6))
+    for group in (E3, SE3, Z_AXIS_2D):
+        with pytest.raises(NonFiniteInput, match="system 0: the position covariance overflows"):
+            compute_frame(system, group)
+    with pytest.raises(NonFiniteInput, match="system 1: "):
+        compute_frames([AXIS_ALIGNED, system], E3)
+
+
 def test_empty_batch_has_no_frames():
     assert compute_frames([], E3) == []
 
@@ -469,6 +510,26 @@ def test_plan_data_augment_draws_one_motion_per_system_in_order(group):
     shared = np.random.default_rng(6)
     for rotation in plan.rotation:
         assert rotation.tobytes() == random_transform(group, shared).rotation.T.tobytes()
+
+
+@pytest.mark.parametrize("fa_mode", FA_MODES)
+def test_plan_keeps_the_frames_it_solved(fa_mode):
+    # Stochastic mode keeps every element of a frame, not only the one it drew.
+    rng = np.random.default_rng(27)
+    single = AtomicSystem(np.array([[0.4, -0.1, 2.0]]), np.array([6]))
+    systems = [random_system(rng), single, random_system(rng)]
+    plan = plan_views(systems, fa_mode, SE3, rng)
+    if fa_mode in ("none", "data_augment"):
+        assert plan.frames is None
+        return
+    assert len(plan.frames) == len(systems)
+    for frame, alone in zip(plan.frames, compute_frames(systems, SE3)):
+        assert frame.rotations.tobytes() == alone.rotations.tobytes()
+        assert frame.translation.tobytes() == alone.translation.tobytes()
+        assert frame.degenerate == alone.degenerate
+    for index, frame in enumerate(plan.frames):
+        for rotation in plan.rotation[plan.sample == index]:
+            assert any(rotation.tobytes() == element.tobytes() for element in frame.rotations)
 
 
 def test_plan_none_maps_back_with_identity():

@@ -264,6 +264,17 @@ def test_orthogonality_enforced():
         EuclideanTransform(np.eye(3) * 2.0, np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_rotation_that_is_not_finite_is_rejected(bad):
+    # NaN fails every comparison, so no tolerance check alone can catch it.
+    with pytest.raises(ValueError, match="NaN or inf"):
+        EuclideanTransform(np.full((3, 3), bad), np.zeros(3))
+    stack = np.stack([np.eye(3)] * 3)
+    stack[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        geometry.check_orthogonal(stack)
+
+
 def test_group_properties_of_samples():
     rng = np.random.default_rng(5)
     for _ in range(200):
