@@ -616,13 +616,10 @@ class AdamW:
             p.data -= a
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape=None) -> np.ndarray:
-    """Uniform init in +/- sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """A ``(fan_in, fan_out)`` uniform init in +/- sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def save_checkpoint(params: dict[str, DiffValue], path):

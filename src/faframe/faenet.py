@@ -28,7 +28,7 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
-from .errors import EmptyBatch, NoForcesRequested
+from .errors import EmptyBatch, NoForcesRequested, ShapeMismatch
 from .frames import ViewPlan, plan_views
 from .geometry import E3, AtomicSystem, build_radius_graphs, positive_setting
 
@@ -243,6 +243,9 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
     """
     if not systems:
         raise EmptyBatch("empty batch: at least one system is needed")
+    if plan.num_systems != len(systems):
+        raise ShapeMismatch(f"the view plan covers {plan.num_systems} systems, "
+                            f"but {len(systems)} were given")
     numbers = np.concatenate([system.atomic_numbers for system in systems])
     graphs = build_radius_graphs(systems, config.cutoff, config.max_neighbors)
     radial = rbf(np.concatenate([graph.distances for graph in graphs]), config.num_gaussians,
@@ -393,7 +396,11 @@ def forward(model: FAENetModel, system: AtomicSystem, fa_mode: str = "full",
 
 def predict_views(model: FAENetModel, system: AtomicSystem, plan: ViewPlan) -> Prediction:
     """Predict energy (and forces if configured) for one system from its
-    :func:`~faframe.frames.plan_views` plan."""
+    :func:`~faframe.frames.plan_views` plan.
+
+    The plan must be this system's own, ``plan_views([system], ...)``: a plan
+    of any other system turns its edges by that system's frame.
+    """
     batch = _make_batch([system], plan, model.config)
     with dm.no_grad():
         energy, forces = _average_views(model, plan, batch, model.config.predict_forces)

@@ -48,14 +48,20 @@ def _ring(count: int, radius: float, z: float = 0.0) -> np.ndarray:
     return np.stack([radius * np.cos(angles), radius * np.sin(angles), np.full(count, z)], axis=1)
 
 
+# Methane's hydrogens: alternate corners of a cube, 1.087 A from the carbon.
+_TETRAHEDRON = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                         [-1.0, -1.0, 1.0]]) * (1.087 / np.sqrt(3.0))
+
 # Small molecules as (positions in angstrom, atomic numbers). Water's PCA
 # spectrum is simple; each of the others has tied eigenvalues, so its PCA
-# frame is degenerate: CO2 is linear, NH3 and benzene are symmetric tops,
-# and the octahedron is isotropic.
+# frame is degenerate: N2 and CO2 are linear, NH3 and benzene are symmetric
+# tops, and CH4 and the octahedron are isotropic.
 MOLECULES = {
     "H2O": (np.array([[0.0, 0.0, 0.1173], [0.0, 0.7572, -0.4692], [0.0, -0.7572, -0.4692]]),
             np.array([8, 1, 1])),
+    "N2": (np.array([[0.0, 0.0, 0.549], [0.0, 0.0, -0.549]]), np.array([7, 7])),
     "CO2": (np.array([[0.0, 0.0, 0.0], [1.16, 0.0, 0.0], [-1.16, 0.0, 0.0]]), np.array([6, 8, 8])),
+    "CH4": (np.concatenate([np.zeros((1, 3)), _TETRAHEDRON]), np.array([6, 1, 1, 1, 1])),
     "NH3": (np.concatenate([[[0.0, 0.0, 0.0]], _ring(3, 0.9377, -0.3811)]), np.array([7, 1, 1, 1])),
     "benzene": (np.concatenate([_ring(6, 1.39), _ring(6, 2.47)]), np.array([6] * 6 + [1] * 6)),
     "octahedron": (_OCTAHEDRON, np.full(6, 6)),

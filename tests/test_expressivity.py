@@ -1,10 +1,12 @@
 """Benchmark pair generators, the rigid-alignment oracle, and the runner."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from faframe import diffmath as dm
 from faframe import expressivity
 from faframe.errors import DegenerateAngle
 from faframe.expressivity import (
@@ -93,6 +95,74 @@ def test_oracle_falls_back_to_distance_multisets_over_cap():
     a = AtomicSystem(rng.standard_normal((9, 3)), np.full(9, 6))
     b = AtomicSystem(rng.standard_normal((9, 3)) * 2.0, np.full(9, 6))
     assert rigid_alignment_residual(a, b) == np.inf
+
+
+def looped_alignment_residual(a, b):
+    """The one-pairing-at-a-time search that the stacked solve replaced."""
+    groups_a = expressivity._element_groups(a.atomic_numbers)
+    groups_b = expressivity._element_groups(b.atomic_numbers)
+    p = a.positions - a.positions.mean(axis=0)
+    q = b.positions - b.positions.mean(axis=0)
+    elements = sorted(groups_a)
+    best = float("inf")
+    for assignment in itertools.product(*(itertools.permutations(groups_b[z])
+                                          for z in elements)):
+        pairing = np.empty(len(p), dtype=int)
+        for z, targets in zip(elements, assignment):
+            for source, target in zip(groups_a[z], targets):
+                pairing[source] = target
+        u, _, vt = np.linalg.svd(p.T @ q[pairing])
+        rotated = p @ (u @ vt)
+        best = min(best, float(np.sqrt(((rotated - q[pairing]) ** 2).sum() / len(p))))
+    return best
+
+
+def _benchmark_pairs():
+    pairs = []
+    for k in (2, 3, 4, 5):
+        numbers = np.full(k + 2, 6)
+        pairs.append((AtomicSystem(expressivity._chain_positions(k, True), numbers),
+                      AtomicSystem(expressivity._chain_positions(k, False), numbers)))
+    for length, angle in ((2, None), (3, None), (5, None), (3, 0.4), (5, 0.4)):
+        numbers = np.array([7] * length + [6, 8])
+        twist = math.pi / length if angle is None else angle
+        pairs.append((AtomicSystem(expressivity._ring_positions(length, 0.0), numbers),
+                      AtomicSystem(expressivity._ring_positions(length, twist), numbers)))
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        numbers = rng.integers(1, 4, n)
+        order = rng.permutation(n)
+        pairs.append((AtomicSystem(rng.standard_normal((n, 3)), numbers),
+                      AtomicSystem(rng.standard_normal((n, 3))[order], numbers[order])))
+    return pairs
+
+
+def test_stacked_search_has_the_bits_of_one_fit_per_pairing(monkeypatch):
+    pairs = _benchmark_pairs()
+    expected = [looped_alignment_residual(a, b).hex() for a, b in pairs]
+    assert [rigid_alignment_residual(a, b).hex() for a, b in pairs] == expected
+    # One pairing per stack gives the same minimum as the default blocks.
+    monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", 1)
+    assert [rigid_alignment_residual(a, b).hex() for a, b in pairs] == expected
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1000, dm.ROW_BLOCK_BYTES])
+def test_stacked_search_holds_a_block_of_pairings_at_a_time(monkeypatch, block_bytes):
+    # 7! = 5040 pairings of 7 like atoms: 847 KB of gathered positions in all.
+    pair = gen_k_chain(5).systems
+    stacks = []
+    solve = expressivity._best_orthogonal_residuals
+
+    def recording(p, q):
+        stacks.append(q.shape)
+        return solve(p, q)
+
+    monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(expressivity, "_best_orthogonal_residuals", recording)
+    rigid_alignment_residual(*pair)
+    assert sum(rows for rows, _, _ in stacks) == math.factorial(7)
+    assert max(rows for rows, _, _ in stacks) == max(block_bytes // pair[1].positions.nbytes, 1)
 
 
 # --------------------------------------------------------------- generators
@@ -228,33 +298,6 @@ def test_benchmark_result_statistics():
     assert payload["num_seeds"] == 2
     assert payload["schema_version"] == 1
     assert payload["accuracies"] == [1.0, 0.5]
-
-
-@pytest.mark.parametrize("family, parameter, angle", [("kchains", 3, None),
-                                                      ("rotsym", 5, 0.4)])
-def test_each_benchmark_pair_is_certified_once(monkeypatch, family, parameter, angle):
-    expressivity._make_instance.cache_clear()
-    first = expressivity._make_instance(family, parameter, angle)
-    fresh = gen_k_chain(parameter) if family == "kchains" else gen_rot_sym(parameter, angle)
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("the alignment search ran again")
-
-    monkeypatch.setattr(expressivity, "rigid_alignment_residual", no_search)
-    again = expressivity._make_instance(family, parameter, angle)
-    assert again is first
-    assert (again.family, again.parameter) == (fresh.family, fresh.parameter)
-    assert again.min_alignment_residual == fresh.min_alignment_residual
-    for shared, built in zip(again.systems, fresh.systems):
-        assert shared.positions.tobytes() == built.positions.tobytes()
-        assert shared.atomic_numbers.tobytes() == built.atomic_numbers.tobytes()
-        # Every later call shares these arrays, so none of them can be written.
-        with pytest.raises(ValueError, match="read-only"):
-            shared.positions[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            shared.atomic_numbers[0] = 1
-    run_benchmark(family, parameter, angle=angle, num_seeds=1, epochs=1,
-                  train_transforms=1, test_transforms=1)
 
 
 def test_benchmark_rejects_cross_family_angle():

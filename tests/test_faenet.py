@@ -12,9 +12,10 @@ from faframe.errors import (
     NoForcesRequested,
     NonFiniteInput,
     NonFiniteLoss,
+    ShapeMismatch,
     UnknownElement,
 )
-from faframe.frames import canonicalize, compute_frame, plan_views
+from faframe.frames import canonical_views, canonicalize, compute_frame, plan_views
 from faframe.elements import MAX_ATOMIC_NUMBER
 from faframe.geometry import (
     E3,
@@ -426,6 +427,28 @@ def test_param_count_regression():
     assert FAENetModel(tiny16, rng).param_count() == 5266
 
 
+def _mean_of_none_mode_views(model, system, rotate_cell):
+    """The ``none``-mode energy averaged over the system's E3 frame views,
+    each view given its rotated cell or, if not ``rotate_cell``, the input's."""
+    frame = compute_frame(system, E3)
+    assert not frame.degenerate
+    positions, cells = canonical_views(system, frame.translation, frame.rotations)
+    return float(np.mean([
+        forward(model, AtomicSystem(view, system.atomic_numbers,
+                                    cell if rotate_cell else system.cell, system.pbc),
+                fa_mode="none").energy
+        for view, cell in zip(positions, cells)]))
+
+
+def _triclinic_crystal_and_model():
+    rng = np.random.default_rng(19)
+    config = FAENetConfig(hidden_channels=16, num_filters=16, num_gaussians=8,
+                          num_interactions=2, cutoff=5.0, max_neighbors=12)
+    model = FAENetModel(config, rng)
+    cell = np.diag([7.0, 8.0, 9.5]) + rng.uniform(-0.4, 0.4, (3, 3))
+    return _uncentred_crystal(rng, 10, cell), model
+
+
 def test_full_average_equals_mean_of_canonical_views():
     rng = np.random.default_rng(6)
     model = FAENetModel(TINY, rng)
@@ -445,6 +468,56 @@ def test_full_average_equals_mean_of_canonical_views():
         ).energy
         assert min(abs(draw - v) for v in per_view) < 1e-12
 
+    # A crystal's view turns its positions and its cell rows by the same frame
+    # rotation (the paper's rho_1 and rho_2), so the mean is invariant and is
+    # the full-mode energy.
+    crystal, model = _triclinic_crystal_and_model()
+    average = _mean_of_none_mode_views(model, crystal, rotate_cell=True)
+    assert abs(forward(model, crystal, fa_mode="full").energy - average) <= 1e-12 * abs(average)
+    for moved in apply_transforms(crystal, *random_transforms(E3, np.random.default_rng(1), 4)):
+        moved_average = _mean_of_none_mode_views(model, moved, rotate_cell=True)
+        assert abs(moved_average - average) <= 1e-9 * abs(average)
+
+
+def test_views_given_the_input_cell_break_a_crystals_invariance():
+    # The counterfactual: rotating the positions but not the cell changes the
+    # periodic images each view sees, so the mean moves with the input.
+    system, model = _triclinic_crystal_and_model()
+    average = _mean_of_none_mode_views(model, system, rotate_cell=False)
+    moved = apply_transforms(system, *random_transforms(E3, np.random.default_rng(1), 4))
+    worst = max(abs(_mean_of_none_mode_views(model, copy, rotate_cell=False) - average)
+                for copy in moved)
+    assert worst > 1e-3 * abs(average)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 9: where two PCA eigenvalues cross, the frame swaps two axes, "
+    "so the full-mode energy jumps however small the gap"))
+def test_full_mode_energy_is_continuous_where_eigenvalues_cross():
+    # An 8-atom molecule with equal second moments along every axis, then its
+    # principal axes scaled by (1 + eps, 1, 0.6): the two largest eigenvalues
+    # swap order as eps changes sign, and no frame is degenerate.
+    rng = np.random.default_rng(0)
+    positions = rng.standard_normal((8, 3))
+    positions -= positions.mean(axis=0)
+    values, vectors = np.linalg.eigh(positions.T @ positions / len(positions))
+    whitened = positions @ vectors / np.sqrt(values) * 1.5
+    numbers = rng.integers(1, 9, 8)
+    config = FAENetConfig(hidden_channels=16, num_filters=16, num_gaussians=16,
+                          num_interactions=2, cutoff=5.0, max_neighbors=40)
+    model = FAENetModel(config, np.random.default_rng(0))
+
+    def energy(eps):
+        system = AtomicSystem(whitened * np.array([1.0 + eps, 1.0, 0.6]), numbers)
+        assert not compute_frame(system, E3).degenerate
+        return forward(model, system, fa_mode="full").energy
+
+    def jump(eps):
+        return abs(energy(eps) - energy(-eps)) / abs(energy(eps))
+
+    # A continuous energy's jump shrinks with eps: 100x over this range.
+    assert jump(1e-5) <= 0.1 * jump(1e-3)
+
 
 _DEGENERATE_FRAME = pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 6: tied PCA eigenvalues make the frame degenerate, and its "
@@ -454,7 +527,7 @@ _DEGENERATE_FRAME = pytest.mark.xfail(strict=True, reason=(
 @pytest.mark.parametrize("name", [
     "H2O",
     *(pytest.param(name, marks=_DEGENERATE_FRAME)
-      for name in ("CO2", "NH3", "benzene", "octahedron")),
+      for name in ("N2", "CO2", "CH4", "NH3", "benzene", "octahedron")),
 ])
 def test_full_mode_energy_is_e3_invariant_for_small_molecules(name):
     positions, numbers = MOLECULES[name]
@@ -465,6 +538,16 @@ def test_full_mode_energy_is_e3_invariant_for_small_molecules(name):
     base = forward(model, system, fa_mode="full").energy
     for moved in apply_transforms(system, *random_transforms(E3, np.random.default_rng(1), 10)):
         assert abs(forward(model, moved, fa_mode="full").energy - base) <= 1e-9 * abs(base)
+
+
+def test_a_view_plan_of_other_systems_is_rejected():
+    rng = np.random.default_rng(20)
+    model = FAENetModel(TINY, rng)
+    a, b = random_system(rng), random_system(rng)
+    with pytest.raises(ShapeMismatch, match="covers 2 systems, but 1 were given"):
+        faenet.predict_views(model, a, plan_views([a, b], "full"))
+    with pytest.raises(ShapeMismatch, match="covers 1 systems, but 2 were given"):
+        _make_batch([a, b], plan_views([a], "full"), TINY)
 
 
 def test_none_mode_is_rotation_sensitive():
