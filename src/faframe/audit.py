@@ -8,21 +8,23 @@ sample det -1 rigid motions; one panel of both serves every system. The
 transformed copy to the same representation: 1 means the canonical-view
 multisets coincide for all sampled transforms. A system and each of its
 transformed copies are planned once, by :func:`~faframe.frames.plan_views`;
-each copy's canonical views, from its plan's frame, are compared with the
-system's own, and each prediction is made from its plan. Systems whose
-frames are degenerate are counted and left out of every metric; an empty
-list of systems is an error.
+each copy's canonical views are compared with the system's own, and each
+prediction is made from its plan alone. Systems whose frames are degenerate
+are counted and left out of every metric. No systems, an unknown
+``fa_mode`` or a target that is not a finite number is an error.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch
+from .errors import EmptyBatch, NonFiniteInput
 from .faenet import FAENetConfig, FAENetModel, predict_views
-from .frames import ViewPlan, canonical_views, compute_frames, plan_views
+from .frames import ViewPlan, canonical_views, check_fa_mode, compute_frames, plan_views
 from .geometry import (
     E3,
     SE3,
@@ -79,10 +81,11 @@ def _probe_panel(rng: np.random.Generator, num_transforms: int) -> tuple[np.ndar
             np.concatenate([translations, shifts]))
 
 
-def _representation(system: AtomicSystem, plan: ViewPlan) -> np.ndarray:
-    """What the model is shown of a system: a ``(views, rows, 3)`` stack of
-    positions plus cell rows, if any, of each canonical view of the frame of
-    its one-system ``plan``, or of the raw input when the plan frames nothing."""
+def _representation(plan: ViewPlan) -> np.ndarray:
+    """What the model is shown of a one-system ``plan``'s system: a ``(views,
+    rows, 3)`` stack of positions plus cell rows, if any, of each canonical
+    view of the plan's frame, or of the raw input when it frames nothing."""
+    system, = plan.systems
     if plan.frames is None:
         positions = system.positions[None]
         cells = None if system.cell is None else system.cell[None]
@@ -122,15 +125,19 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
     force head, and are None otherwise.
     """
     group = normalize_group(group)
+    check_fa_mode(fa_mode)
     if not systems:
         raise EmptyBatch("empty batch: at least one system is needed")
     if num_transforms < 1:
         raise ValueError(f"num_transforms must be at least 1, got {num_transforms}")
+    if targets is not None and len(targets) != len(systems):
+        raise ValueError(f"{len(targets)} targets for {len(systems)} systems")
+    for index, target in enumerate(() if targets is None else targets):
+        if not isinstance(target, numbers.Real) or not math.isfinite(target):
+            raise NonFiniteInput(f"target {index} is not a finite number: {target!r}")
     if rng is None:
         rng = np.random.default_rng()
     force_metrics = model.config.predict_forces
-    if targets is not None and len(targets) != len(systems):
-        raise ValueError(f"{len(targets)} targets for {len(systems)} systems")
 
     canonical = fa_mode in ("full", "stochastic")
     # One shared transform panel, rotations then reflections: every system
@@ -154,11 +161,10 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
         # One at a time and in this order, as forward would plan each.
         plans = [plan_views([copy], fa_mode, group, rng) for copy in copies]
         if pos:
-            reference = _representation(system, plans[0])
-            pos = int(all(_multisets_match(reference, _representation(copy, plan))
-                          for copy, plan in zip(copies[1:], plans[1:])))
-        base, *predictions = [predict_views(model, copy, plan)
-                              for copy, plan in zip(copies, plans)]
+            reference = _representation(plans[0])
+            pos = int(all(_multisets_match(reference, _representation(plan))
+                          for plan in plans[1:]))
+        base, *predictions = [predict_views(model, plan) for plan in plans]
         for rotation, prediction in zip(rotations, predictions):
             shifts.append(abs(prediction.energy - base.energy))
             if force_metrics:

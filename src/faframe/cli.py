@@ -87,7 +87,7 @@ def _cmd_canonicalize(args) -> int:
     stacks = np.split(plan.rotation, np.searchsorted(plan.sample, np.arange(1, len(systems))))
     pieces = []
     saw_degenerate = False
-    for index, (system, frame, rotations) in enumerate(zip(systems, plan.frames, stacks)):
+    for index, (system, frame, rotations) in enumerate(zip(plan.systems, plan.frames, stacks)):
         if frame.degenerate:
             saw_degenerate = True
             print(

@@ -18,7 +18,7 @@ class NonFiniteLoss(FaframeError, FloatingPointError):
 
 
 class NonFiniteInput(FaframeError, ValueError):
-    """Positions or a cell hold NaN, infinity, or values that are not real numbers."""
+    """Positions, a cell or audit targets hold NaN, infinity, or values that are not numbers."""
 
 
 class CutoffExceedsImageRange(FaframeError, ValueError):

@@ -216,36 +216,31 @@ class FAENetModel:
 
 
 class _Batch(NamedTuple):
+    plan: ViewPlan
     z_index: np.ndarray
     edge_features: np.ndarray
-    src: dm.Segments
-    dst: dm.Segments
+    src: np.ndarray
+    dst: np.ndarray
     atom_output: np.ndarray
     atom_input: np.ndarray
     view_atoms: np.ndarray
     view_edges: np.ndarray
-    num_outputs: int
-    num_atoms: int
-    num_input_atoms: int
 
 
-def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
-                config: FAENetConfig) -> _Batch:
-    """Merge a plan's views into one disjoint graph, one output per view.
+def _make_batch(plan: ViewPlan, config: FAENetConfig) -> _Batch:
+    """Merge a plan's views of its systems into one disjoint graph, one
+    output per view; the batch keeps the plan.
 
     The systems' radius graphs come from one search and their radial block
     from one pass, in the input pose; every view of a system shares them and
     turns the edge vectors by the view's rotation. Row ``r`` of the batch is
     input atom ``atom_input[r]`` (atoms of all systems numbered in order)
     seen in view ``atom_output[r]``. View ``v`` holds atom rows
-    ``view_atoms[v]:view_atoms[v + 1]``, and so for edges; ``src`` and
-    ``dst`` are indexed once for every scatter.
+    ``view_atoms[v]:view_atoms[v + 1]``, and so for edges.
     """
+    systems = plan.systems
     if not systems:
         raise EmptyBatch("empty batch: at least one system is needed")
-    if plan.num_systems != len(systems):
-        raise ShapeMismatch(f"the view plan covers {plan.num_systems} systems, "
-                            f"but {len(systems)} were given")
     numbers = np.concatenate([system.atomic_numbers for system in systems])
     graphs = build_radius_graphs(systems, config.cutoff, config.max_neighbors)
     radial = rbf(np.concatenate([graph.distances for graph in graphs]), config.num_gaussians,
@@ -264,37 +259,16 @@ def _make_batch(systems: Sequence[AtomicSystem], plan: ViewPlan,
     rotated = [graphs[index].rel_vectors @ rotation
                for index, rotation in zip(plan.sample, plan.rotation)]
     return _Batch(
+        plan=plan,
         z_index=numbers.take(atom_input) - 1,
         edge_features=np.concatenate([np.concatenate(rotated), radial.take(edge_input, axis=0)],
                                      axis=1),
-        src=dm.segments(np.concatenate([g.src for g in graphs]).take(edge_input) + atom_shift),
-        dst=dm.segments(np.concatenate([g.dst for g in graphs]).take(edge_input) + atom_shift),
+        src=np.concatenate([g.src for g in graphs]).take(edge_input) + atom_shift,
+        dst=np.concatenate([g.dst for g in graphs]).take(edge_input) + atom_shift,
         atom_output=np.arange(len(plan.sample)).repeat(atoms),
         atom_input=atom_input,
         view_atoms=view_atoms,
         view_edges=view_edges,
-        num_outputs=len(plan.sample),
-        num_atoms=int(view_atoms[-1]),
-        num_input_atoms=int(atom_first[-1]),
-    )
-
-
-def _views(batch: _Batch, start: int, stop: int) -> _Batch:
-    """Views ``start:stop`` as a batch: no edge leaves its view, so its rows are slices."""
-    a0, a1 = batch.view_atoms[start], batch.view_atoms[stop]
-    e0, e1 = batch.view_edges[start], batch.view_edges[stop]
-    return _Batch(
-        z_index=batch.z_index[a0:a1],
-        edge_features=batch.edge_features[e0:e1],
-        src=dm.segments(batch.src.ids[e0:e1] - a0),
-        dst=dm.segments(batch.dst.ids[e0:e1] - a0),
-        atom_output=batch.atom_output[a0:a1] - start,
-        atom_input=batch.atom_input[a0:a1],
-        view_atoms=batch.view_atoms[start:stop + 1] - a0,
-        view_edges=batch.view_edges[start:stop + 1] - e0,
-        num_outputs=stop - start,
-        num_atoms=int(a1 - a0),
-        num_input_atoms=batch.num_input_atoms,
     )
 
 
@@ -310,7 +284,7 @@ def _view_chunks(batch: _Batch, num_filters: int) -> list[tuple[int, int]]:
             chunks.append((start, view))
             start, rows = view, 0
         rows += edges
-    chunks.append((start, batch.num_outputs))
+    chunks.append((start, len(batch.plan.sample)))
     return chunks
 
 
@@ -319,14 +293,15 @@ def _two_layer(params, prefix, x: DiffValue) -> DiffValue:
     return dm.add(dm.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
-def _embed_arrays(model: FAENetModel, batch: _Batch) -> tuple[DiffValue, DiffValue]:
+def _embed_arrays(model: FAENetModel, z_index: np.ndarray,
+                  edge_features: np.ndarray) -> tuple[DiffValue, DiffValue]:
     params = model.params
-    h0 = dm.gather_rows(params["atom_embedding"], batch.z_index)
+    h0 = dm.gather_rows(params["atom_embedding"], z_index)
     table = model.config.property_table
     if table is not None:
-        projected = dm.matmul(dm.constant(table[batch.z_index]), params["property_projection"])
+        projected = dm.matmul(dm.constant(table[z_index]), params["property_projection"])
         h0 = dm.concat([h0, projected], axis=1)
-    return h0, _two_layer(params, "edge_mlp", dm.constant(batch.edge_features))
+    return h0, _two_layer(params, "edge_mlp", dm.constant(edge_features))
 
 
 def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffValue,
@@ -357,12 +332,17 @@ def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffVal
     return dm.add(h, update)
 
 
-def _net(model: FAENetModel, batch: _Batch) -> DiffValue:
-    """Run the backbone on a merged graph; returns the node states the heads read."""
-    h, e = _embed_arrays(model, batch)
+def _net(model: FAENetModel, batch: _Batch, start: int, stop: int) -> DiffValue:
+    """Run the backbone on views ``start:stop`` of a batch; returns the node
+    states the heads read. No edge leaves its view, so the views' rows are
+    slices; their edge index is sorted once for every scatter."""
+    a0, a1 = batch.view_atoms[start], batch.view_atoms[stop]
+    e0, e1 = batch.view_edges[start], batch.view_edges[stop]
+    src, dst = dm.segments(batch.src[e0:e1] - a0), dm.segments(batch.dst[e0:e1] - a0)
+    h, e = _embed_arrays(model, batch.z_index[a0:a1], batch.edge_features[e0:e1])
     layer_sum = None
     for layer in range(model.config.num_interactions):
-        h = _interaction_arrays(model, layer, h, e, batch.src, batch.dst, batch.num_atoms)
+        h = _interaction_arrays(model, layer, h, e, src, dst, int(a1 - a0))
         layer_sum = h if layer_sum is None else dm.add(layer_sum, h)
     return layer_sum if model.config.jumping_connections else h
 
@@ -378,7 +358,7 @@ def _heads(model: FAENetModel, batch: _Batch, h_out: DiffValue,
         per_atom = dm.mul(alpha, value)
     else:
         per_atom = value
-    energy = dm.segment_sum(per_atom, batch.atom_output, batch.num_outputs)
+    energy = dm.segment_sum(per_atom, batch.atom_output, len(batch.plan.sample))
 
     forces = None
     if want_forces:
@@ -391,19 +371,19 @@ def _heads(model: FAENetModel, batch: _Batch, h_out: DiffValue,
 def forward(model: FAENetModel, system: AtomicSystem, fa_mode: str = "full",
             group: str = E3, rng: np.random.Generator | None = None) -> Prediction:
     """Predict energy (and forces if configured) for one system."""
-    return predict_views(model, system, plan_views([system], fa_mode, group, rng))
+    return predict_views(model, plan_views([system], fa_mode, group, rng))
 
 
-def predict_views(model: FAENetModel, system: AtomicSystem, plan: ViewPlan) -> Prediction:
-    """Predict energy (and forces if configured) for one system from its
-    :func:`~faframe.frames.plan_views` plan.
-
-    The plan must be this system's own, ``plan_views([system], ...)``: a plan
-    of any other system turns its edges by that system's frame.
-    """
-    batch = _make_batch([system], plan, model.config)
+def predict_views(model: FAENetModel, plan: ViewPlan) -> Prediction:
+    """Predict energy (and forces if configured) for the one system of a
+    :func:`~faframe.frames.plan_views` plan; a plan of any other number of
+    systems raises ShapeMismatch."""
+    if len(plan.systems) != 1:
+        raise ShapeMismatch(f"a prediction is for one system, but the view plan covers "
+                            f"{len(plan.systems)}")
+    batch = _make_batch(plan, model.config)
     with dm.no_grad():
-        energy, forces = _average_views(model, plan, batch, model.config.predict_forces)
+        energy, forces = _average_views(model, batch, model.config.predict_forces)
     return Prediction(energy=float(energy.data[0, 0]),
                       forces=None if forces is None else forces.data)
 
@@ -425,12 +405,13 @@ def training_forward(model: FAENetModel, systems: list[AtomicSystem], fa_mode: s
     same path the predictions took.
     """
     plan = plan_views(systems, fa_mode, group, rng)
-    return _average_views(model, plan, _make_batch(systems, plan, model.config), want_forces)
+    return _average_views(model, _make_batch(plan, model.config), want_forces)
 
 
-def _average_views(model: FAENetModel, plan: ViewPlan, batch: _Batch,
+def _average_views(model: FAENetModel, batch: _Batch,
                    want_forces: bool) -> tuple[DiffValue, DiffValue | None]:
-    """Run the net on a plan's batch and take each system's weighted view mean.
+    """Run the net on a batch and take each of its plan's systems' weighted
+    view mean.
 
     With the tape off, the backbone runs per :func:`_view_chunks` chunk;
     views are independent, so the joined node states are one run's. The
@@ -438,22 +419,23 @@ def _average_views(model: FAENetModel, plan: ViewPlan, batch: _Batch,
     Force rows return to the input pose in one batched back-rotation: each
     row by its view's ``rotation.T``, scaled by the view's weight.
     """
-    chunks = [(0, batch.num_outputs)]
+    plan = batch.plan
+    chunks = [(0, len(plan.sample))]
     if not dm.recording():
         chunks = _view_chunks(batch, model.config.num_filters)
     if len(chunks) == 1:
-        h_out = _net(model, batch)
+        h_out = _net(model, batch, *chunks[0])
     else:
-        h_out = dm.concat([_net(model, _views(batch, start, stop)) for start, stop in chunks],
-                          axis=0)
+        h_out = dm.concat([_net(model, batch, start, stop) for start, stop in chunks], axis=0)
     energy_views, force_views = _heads(model, batch, h_out, want_forces)
     weighted = dm.mul(energy_views, dm.constant(plan.weight[:, None]))
-    energy = dm.segment_sum(weighted, plan.sample, plan.num_systems)
+    energy = dm.segment_sum(weighted, plan.sample, len(plan.systems))
     if force_views is None:
         return energy, None
     back = plan.rotation.transpose(0, 2, 1) * plan.weight[:, None, None]
     rows = dm.rotate_rows(force_views, back[batch.atom_output])
-    return energy, dm.segment_sum(rows, batch.atom_input, batch.num_input_atoms)
+    atoms = sum(system.num_atoms for system in plan.systems)
+    return energy, dm.segment_sum(rows, batch.atom_input, atoms)
 
 
 def _loss(samples: Sequence[TrainSample], energy: DiffValue, forces: DiffValue | None,
@@ -622,17 +604,15 @@ def run_gradient_check(config: FAENetConfig = GRADCHECK_CONFIG, seed: int = 0) -
 
     model = FAENetModel(config, rng)
     samples = _gradcheck_systems(rng)
-    systems = [s.system for s in samples]
 
     # Full-frame views and graphs do not depend on parameters, so they are
     # prepared once; each loss evaluation reruns only the net.
-    plan = plan_views(systems, "full", E3)
-    batch = _make_batch(systems, plan, config)
+    batch = _make_batch(plan_views([s.system for s in samples], "full", E3), config)
     names = list(model.params)
 
     def model_loss(values):
         model.params = dict(zip(names, values))
-        energy, forces = _average_views(model, plan, batch, config.predict_forces)
+        energy, forces = _average_views(model, batch, config.predict_forces)
         return _loss(samples, energy, forces, 1.0, 1.0)
 
     errors["full_forward_loss"] = _check_case([p.data for p in model.parameters()], model_loss)

@@ -25,11 +25,11 @@ at once, and :func:`canonicalize` is its one-element call.
 
 A view is a rotation of its input system. :func:`plan_views` frames a
 batch of systems at once and picks one rotation per view for an
-``fa_mode``; its :class:`ViewPlan` keeps the frames it solved. Distances,
-and so neighbour graphs, are the same in every view. Inference, training
-and gradient checking in :mod:`faframe.faenet` build a batch's graphs once
-and turn their edge vectors per view; the audit and ``faframe
-canonicalize`` read their views and frames from plans.
+``fa_mode``; its :class:`ViewPlan` keeps the systems and the frames, so
+each later step takes the plan alone. Distances, and so neighbour graphs,
+are the same in every view. Inference, training and gradient checking in
+:mod:`faframe.faenet` build a plan's graphs once and turn their edge
+vectors per view; the audit and ``faframe canonicalize`` read plans.
 
 :func:`compute_frame`, :func:`canonicalize`, :class:`CanonicalView` and
 :attr:`Frame.elements` (each frame element as a validated
@@ -205,22 +205,28 @@ def canonicalize(system: AtomicSystem, element: EuclideanTransform) -> Canonical
 class ViewPlan:
     """The views a backbone evaluates for a batch of systems.
 
-    View ``i`` is input system ``sample[i]`` with every vector
-    right-multiplied by ``rotation[i]`` (a ``(V, 3, 3)`` stack), so
-    ``rotation[i].T`` maps it back to the input pose. It enters its system's
-    average with ``weight[i]``; the weights of each system sum to one.
-    ``frames`` holds each system's whole :class:`Frame` in ``full`` and
-    ``stochastic`` mode, and is None in the modes that frame nothing.
+    View ``i`` is ``systems[sample[i]]`` with every vector right-multiplied
+    by ``rotation[i]`` (a ``(V, 3, 3)`` stack), so ``rotation[i].T`` maps it
+    back to the input pose. It enters its system's average with
+    ``weight[i]``; the weights of each system sum to one. ``frames`` holds
+    each system's whole :class:`Frame` in ``full`` and ``stochastic`` mode,
+    and is None in the modes that frame nothing.
     """
 
+    systems: tuple[AtomicSystem, ...]
     sample: np.ndarray
     rotation: np.ndarray
     weight: np.ndarray
-    num_systems: int
     frames: list[Frame] | None
 
 
-def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = E3,
+def check_fa_mode(fa_mode: str) -> None:
+    """Raise ValueError unless ``fa_mode`` is one of ``FA_MODES``."""
+    if fa_mode not in FA_MODES:
+        raise ValueError(f"fa_mode must be one of {FA_MODES}, got {fa_mode!r}")
+
+
+def plan_views(systems: Sequence[AtomicSystem], fa_mode: str = "full", group: str = E3,
                rng: np.random.Generator | None = None) -> ViewPlan:
     """Plan the views of every system for one of the ``FA_MODES``.
 
@@ -230,8 +236,7 @@ def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = 
     once per system, in input order.
     """
     group = normalize_group(group)
-    if fa_mode not in FA_MODES:
-        raise ValueError(f"fa_mode must be one of {FA_MODES}, got {fa_mode!r}")
+    check_fa_mode(fa_mode)
     if fa_mode in ("stochastic", "data_augment") and rng is None:
         raise ValueError(f"{fa_mode} mode needs an rng")
     frames = compute_frames(systems, group) if fa_mode in ("full", "stochastic") else None
@@ -249,5 +254,5 @@ def plan_views(systems: list[AtomicSystem], fa_mode: str = "full", group: str = 
     sizes = np.array([len(chosen) for chosen in stacks], dtype=np.int64)
     # C order, whatever the stacks' layout: products with it round by layout.
     rotation = np.ascontiguousarray(np.concatenate(stacks)) if stacks else np.empty((0, 3, 3))
-    return ViewPlan(np.arange(len(systems)).repeat(sizes), rotation, (1.0 / sizes).repeat(sizes),
-                    len(systems), frames)
+    return ViewPlan(tuple(systems), np.arange(len(systems)).repeat(sizes), rotation,
+                    (1.0 / sizes).repeat(sizes), frames)

@@ -11,7 +11,7 @@ from faframe.audit import (
     compare_methods,
     format_report_table,
 )
-from faframe.errors import EmptyBatch
+from faframe.errors import EmptyBatch, NonFiniteInput
 from faframe.faenet import FAENetConfig, FAENetModel, forward
 from faframe.geometry import SE3, AtomicSystem
 
@@ -141,6 +141,36 @@ def test_audit_needs_at_least_one_transform(num_transforms):
     with pytest.raises(ValueError, match="num_transforms must be at least 1"):
         audit_model(model, fixed_systems(1, count=1), num_transforms=num_transforms,
                     rng=np.random.default_rng(2))
+
+
+# A linear chain: its covariance has a double zero eigenvalue, so its frame
+# is degenerate and the audit skips it before any system is planned.
+LINEAR_CHAIN = AtomicSystem(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                            np.array([6, 6, 6]))
+
+
+def test_audit_rejects_an_unknown_fa_mode_even_when_every_system_is_skipped():
+    model = FAENetModel(CONFIG, np.random.default_rng(0))
+    assert frames.compute_frame(LINEAR_CHAIN).degenerate
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="fa_mode must be one of"):
+        audit_model(model, [LINEAR_CHAIN], fa_mode="bogus", num_transforms=2, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_audit_rejects_a_target_that_is_not_a_finite_number(bad, index):
+    model = FAENetModel(CONFIG, np.random.default_rng(0))
+    targets = [1.0, 1.0]
+    targets[index] = bad
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(NonFiniteInput, match=f"target {index} "):
+        audit_model(model, fixed_systems(1, count=2), targets=targets, num_transforms=2,
+                    rng=rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("num_transforms", [1, 7, 40])

@@ -92,11 +92,11 @@ def test_embed_shapes():
     model = FAENetModel(TINY, rng)
     system = random_system(rng, n=5)
     graph = build_radius_graph(system, TINY.cutoff, TINY.max_neighbors)
-    batch = _make_batch([system], plan_views([system], "none"), TINY)
-    h, e = _embed_arrays(model, batch)
+    batch = _make_batch(plan_views([system], "none"), TINY)
+    h, e = _embed_arrays(model, batch.z_index, batch.edge_features)
     assert h.shape == (5, TINY.hidden_channels)
     assert e.shape == (graph.src.size, TINY.num_filters)
-    out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, batch.num_atoms)
+    out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, system.num_atoms)
     assert out.shape == (5, TINY.hidden_channels)
 
 
@@ -107,15 +107,15 @@ def test_standard_filter_matches_concatenated_edge_inputs():
     model = FAENetModel(TINY, rng)
     p = {name: v.data for name, v in model.params.items()}
     system = random_system(rng, n=7)
-    batch = _make_batch([system], plan_views([system], "none"), TINY)
-    h, e = _embed_arrays(model, batch)
-    out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, batch.num_atoms)
-    src, dst = batch.src.ids, batch.dst.ids
+    batch = _make_batch(plan_views([system], "none"), TINY)
+    h, e = _embed_arrays(model, batch.z_index, batch.edge_features)
+    out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, system.num_atoms)
+    src, dst = batch.src, batch.dst
 
     gate_in = np.concatenate([e.data, h.data[dst], h.data[src]], axis=1)
     gate = swish_np(gate_in @ p["interaction.0.filter_w"] + p["interaction.0.filter_b"])
     messages = gate * (h.data @ p["interaction.0.node_w"])[src]
-    aggregated = np.zeros((batch.num_atoms, TINY.num_filters))
+    aggregated = np.zeros((system.num_atoms, TINY.num_filters))
     for row, target in zip(messages, dst):
         aggregated[target] += row
     update = aggregated @ p["interaction.0.update_w"] + p["interaction.0.update_b"]
@@ -173,7 +173,7 @@ def test_forward_and_training_forward_share_one_reduction(monkeypatch):
     real = faenet._average_views
 
     def recording(*args, **kwargs):
-        calls.append(args[1].num_systems)
+        calls.append(len(args[1].plan.systems))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(faenet, "_average_views", recording)
@@ -193,9 +193,9 @@ def _counting_net(monkeypatch):
     calls = []
     real = faenet._net
 
-    def counting(model, batch):
-        calls.append((batch.num_outputs, batch.src.ids.size))
-        return real(model, batch)
+    def counting(model, batch, start, stop):
+        calls.append((stop - start, batch.view_edges[stop] - batch.view_edges[start]))
+        return real(model, batch, start, stop)
 
     monkeypatch.setattr(faenet, "_net", counting)
     return calls
@@ -541,13 +541,14 @@ def test_full_mode_energy_is_e3_invariant_for_small_molecules(name):
 
 
 def test_a_view_plan_of_other_systems_is_rejected():
+    # A plan carries its systems, so a prediction reads its system from the
+    # plan; a plan of two systems is not one system's.
     rng = np.random.default_rng(20)
     model = FAENetModel(TINY, rng)
     a, b = random_system(rng), random_system(rng)
-    with pytest.raises(ShapeMismatch, match="covers 2 systems, but 1 were given"):
-        faenet.predict_views(model, a, plan_views([a, b], "full"))
-    with pytest.raises(ShapeMismatch, match="covers 1 systems, but 2 were given"):
-        _make_batch([a, b], plan_views([a], "full"), TINY)
+    assert faenet.predict_views(model, plan_views([a], "full")) == forward(model, a)
+    with pytest.raises(ShapeMismatch, match="covers 2"):
+        faenet.predict_views(model, plan_views([a, b], "full"))
 
 
 def test_none_mode_is_rotation_sensitive():
@@ -599,12 +600,12 @@ def test_batch_of_many_systems_is_their_one_system_batches_joined(mixed_batch):
         systems = mixed_batch(rng)
         group = (E3, SE3, Z_AXIS_2D)[int(rng.integers(3))]
         plan = plan_views(systems, "full", group)
-        batch = _make_batch(systems, plan, config)
+        batch = _make_batch(plan, config)
         firsts = np.cumsum([0] + [system.num_atoms for system in systems])
         view = 0
         for index, system in enumerate(systems):
-            alone = _make_batch([system], plan_views([system], "full", group), config)
-            for own in range(alone.num_outputs):
+            alone = _make_batch(plan_views([system], "full", group), config)
+            for own in range(len(alone.plan.sample)):
                 assert plan.sample[view] == index
                 a0, a1 = batch.view_atoms[view:view + 2]
                 e0, e1 = batch.view_edges[view:view + 2]
@@ -612,15 +613,13 @@ def test_batch_of_many_systems_is_their_one_system_batches_joined(mixed_batch):
                 f0, f1 = alone.view_edges[own:own + 2]
                 assert batch.edge_features[e0:e1].tobytes() == alone.edge_features[f0:f1].tobytes()
                 assert batch.z_index[a0:a1].tobytes() == alone.z_index[b0:b1].tobytes()
-                for ids, own_ids in ((batch.src.ids, alone.src.ids),
-                                     (batch.dst.ids, alone.dst.ids)):
+                for ids, own_ids in ((batch.src, alone.src), (batch.dst, alone.dst)):
                     assert np.array_equal(ids[e0:e1] - a0, own_ids[f0:f1] - b0)
                 assert np.array_equal(batch.atom_input[a0:a1] - firsts[index],
                                       alone.atom_input[b0:b1])
                 assert (batch.atom_output[a0:a1] == view).all()
                 view += 1
-        assert view == batch.num_outputs == len(plan.sample)
-        assert batch.num_input_atoms == firsts[-1]
+        assert view == len(plan.sample) and batch.plan is plan
 
 
 def test_empty_batch_is_one_named_error():

@@ -459,7 +459,7 @@ def test_plan_full_takes_every_frame_element(group, count):
     rng = np.random.default_rng(20)
     systems = [random_system(rng) for _ in range(3)]
     plan = plan_views(systems, "full", group)
-    assert plan.num_systems == 3
+    assert len(plan.systems) == 3
     assert plan.rotation.shape == (3 * count, 3, 3)
     np.testing.assert_array_equal(plan.sample, np.repeat(np.arange(3), count))
     for index, system in enumerate(systems):
@@ -519,6 +519,8 @@ def test_plan_keeps_the_frames_it_solved(fa_mode):
     single = AtomicSystem(np.array([[0.4, -0.1, 2.0]]), np.array([6]))
     systems = [random_system(rng), single, random_system(rng)]
     plan = plan_views(systems, fa_mode, SE3, rng)
+    assert isinstance(plan.systems, tuple)
+    assert [id(system) for system in plan.systems] == [id(system) for system in systems]
     if fa_mode in ("none", "data_augment"):
         assert plan.frames is None
         return
