@@ -219,8 +219,8 @@ class _Batch(NamedTuple):
     plan: ViewPlan
     z_index: np.ndarray
     edge_features: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
+    src: dm.Segments
+    dst: dm.Segments
     atom_output: np.ndarray
     atom_input: np.ndarray
     view_atoms: np.ndarray
@@ -236,7 +236,8 @@ def _make_batch(plan: ViewPlan, config: FAENetConfig) -> _Batch:
     turns the edge vectors by the view's rotation. Row ``r`` of the batch is
     input atom ``atom_input[r]`` (atoms of all systems numbered in order)
     seen in view ``atom_output[r]``. View ``v`` holds atom rows
-    ``view_atoms[v]:view_atoms[v + 1]``, and so for edges.
+    ``view_atoms[v]:view_atoms[v + 1]``, and so for edges; ``src`` and
+    ``dst`` are indexed once for every scatter of the whole batch.
     """
     systems = plan.systems
     if not systems:
@@ -263,8 +264,8 @@ def _make_batch(plan: ViewPlan, config: FAENetConfig) -> _Batch:
         z_index=numbers.take(atom_input) - 1,
         edge_features=np.concatenate([np.concatenate(rotated), radial.take(edge_input, axis=0)],
                                      axis=1),
-        src=np.concatenate([g.src for g in graphs]).take(edge_input) + atom_shift,
-        dst=np.concatenate([g.dst for g in graphs]).take(edge_input) + atom_shift,
+        src=dm.segments(np.concatenate([g.src for g in graphs]).take(edge_input) + atom_shift),
+        dst=dm.segments(np.concatenate([g.dst for g in graphs]).take(edge_input) + atom_shift),
         atom_output=np.arange(len(plan.sample)).repeat(atoms),
         atom_input=atom_input,
         view_atoms=view_atoms,
@@ -335,10 +336,13 @@ def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffVal
 def _net(model: FAENetModel, batch: _Batch, start: int, stop: int) -> DiffValue:
     """Run the backbone on views ``start:stop`` of a batch; returns the node
     states the heads read. No edge leaves its view, so the views' rows are
-    slices; their edge index is sorted once for every scatter."""
+    slices; the whole batch uses its own edge index, a part sorts its slice
+    once for every scatter."""
     a0, a1 = batch.view_atoms[start], batch.view_atoms[stop]
     e0, e1 = batch.view_edges[start], batch.view_edges[stop]
-    src, dst = dm.segments(batch.src[e0:e1] - a0), dm.segments(batch.dst[e0:e1] - a0)
+    src, dst = batch.src, batch.dst
+    if (start, stop) != (0, len(batch.plan.sample)):
+        src, dst = dm.segments(src.ids[e0:e1] - a0), dm.segments(dst.ids[e0:e1] - a0)
     h, e = _embed_arrays(model, batch.z_index[a0:a1], batch.edge_features[e0:e1])
     layer_sum = None
     for layer in range(model.config.num_interactions):

@@ -110,7 +110,7 @@ def test_standard_filter_matches_concatenated_edge_inputs():
     batch = _make_batch(plan_views([system], "none"), TINY)
     h, e = _embed_arrays(model, batch.z_index, batch.edge_features)
     out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, system.num_atoms)
-    src, dst = batch.src, batch.dst
+    src, dst = batch.src.ids, batch.dst.ids
 
     gate_in = np.concatenate([e.data, h.data[dst], h.data[src]], axis=1)
     gate = swish_np(gate_in @ p["interaction.0.filter_w"] + p["interaction.0.filter_b"])
@@ -613,7 +613,8 @@ def test_batch_of_many_systems_is_their_one_system_batches_joined(mixed_batch):
                 f0, f1 = alone.view_edges[own:own + 2]
                 assert batch.edge_features[e0:e1].tobytes() == alone.edge_features[f0:f1].tobytes()
                 assert batch.z_index[a0:a1].tobytes() == alone.z_index[b0:b1].tobytes()
-                for ids, own_ids in ((batch.src, alone.src), (batch.dst, alone.dst)):
+                for ids, own_ids in ((batch.src.ids, alone.src.ids),
+                                     (batch.dst.ids, alone.dst.ids)):
                     assert np.array_equal(ids[e0:e1] - a0, own_ids[f0:f1] - b0)
                 assert np.array_equal(batch.atom_input[a0:a1] - firsts[index],
                                       alone.atom_input[b0:b1])
