@@ -12,6 +12,13 @@ array a rule hands it, and later ones are added into that array in place.
 So a rule hands each fresh array to one parent only, and never reads it
 again after handing it on.
 
+The backbone's dense steps are fused nodes that own one output-sized
+buffer each: ``dense`` is ``x @ w + b`` with an optional swish, and
+``edge_gate`` is the filter's ``swish(e @ w + a[i] + b[j])``; the matmul's
+product is the output, and the rest is written into it in place. A swish
+keeps its sigmoid for backward only while the tape records; inside
+``no_grad()`` each row block's sigmoid is a block of scratch.
+
 Only the compositions the network needs are supported; there is no general
 broadcasting. ``add`` accepts equal shapes, a trailing-axis bias vector, or
 a scalar; ``mul`` accepts equal shapes or a scalar.
@@ -28,18 +35,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteLoss, NonScalarLoss, ShapeMismatch
+from .errors import CheckpointError, NonFiniteLoss, NonScalarLoss, ShapeMismatch
 
 CHECKPOINT_VERSION = 1
 NUMERICAL_STEP = 1e-5
 
 # Bytes of the first array in one row block, for every op that works by
-# row block: the swish chains (``swish`` and ``edge_gate``), ``message_sum``
-# and the scatters of ``_scatter_rows``. A swish block's four to six arrays,
-# at most about 1.5 MiB, stay in one core's 2 MiB L2 while its ufuncs run,
-# and gathered or permuted temporaries are one block, not E x f. On
-# 3000 x 480 gates (2-vCPU VM), 128 KiB to 1 MiB blocks and one whole-array
-# pass timed within about 6%.
+# row block: the swish chains (``swish``, ``dense`` and ``edge_gate``),
+# ``message_sum``, the scatters of ``_scatter_rows`` and ``AdamW.step``. A
+# swish block's four to six arrays, at most about 1.5 MiB, stay in one
+# core's 2 MiB L2 while its ufuncs run, and gathered or permuted
+# temporaries are one block, not E x f. On 3000 x 480 gates (2-vCPU VM),
+# 128 KiB to 1 MiB blocks and one whole-array pass timed within about 6%.
 ROW_BLOCK_BYTES = 256 * 1024
 
 _recording = contextvars.ContextVar("diffmath_recording", default=True)
@@ -117,10 +124,14 @@ def constant(data, name="") -> DiffValue:
     return DiffValue(data, name=name)
 
 
+def _check_product(op: str, x: DiffValue, w: DiffValue):
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeMismatch(f"{op} needs (n,k)@(k,m), got {x.data.shape} and {w.data.shape}")
+
+
 def matmul(a, b) -> DiffValue:
     a, b = _as_value(a), _as_value(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul needs (n,k)@(k,m), got {a.data.shape} and {b.data.shape}")
+    _check_product("matmul", a, b)
 
     def backward(grad):
         a.accumulate_grad(grad @ b.data.T)
@@ -383,9 +394,9 @@ def _in_row_blocks(chain, *arrays):
     """Run ``chain`` on consecutive row blocks of ``arrays``, each in L2.
 
     Blocks hold about ``ROW_BLOCK_BYTES`` of the first array; arrays that
-    fit in one block, 0-d ones included, go to ``chain`` whole. Every element
-    meets the same ufuncs in either case, so its bits do not depend on the
-    block size.
+    fit in one block, 0-d ones included, go to ``chain`` whole. A ``None``
+    in ``arrays`` reaches ``chain`` as ``None``. Every element meets the same
+    ufuncs in either case, so its bits do not depend on the block size.
     """
     first = arrays[0]
     if first.nbytes <= ROW_BLOCK_BYTES:
@@ -393,11 +404,19 @@ def _in_row_blocks(chain, *arrays):
         return
     step = max(ROW_BLOCK_BYTES * len(first) // first.nbytes, 1)
     for start in range(0, len(first), step):
-        chain(*(array[start:start + step] for array in arrays))
+        chain(*(None if array is None else array[start:start + step] for array in arrays))
+
+
+def _sigmoid_store(shape) -> np.ndarray | None:
+    """The array of ``shape`` a swish keeps its sigmoid in for backward, or
+    ``None`` without the tape: each row block's sigmoid is then a block of
+    scratch, dropped with the block."""
+    return np.empty(shape) if _recording.get() else None
 
 
 def _swish_rows(pre, sig, out):
-    """``sig = sigmoid(pre)`` and ``out = pre * sig``, written into the given arrays."""
+    """``sig = sigmoid(pre)`` and ``out = pre * sig``, written into the given
+    arrays; ``out`` may be ``pre``, and ``sig`` ``None`` for a fresh one."""
     np.multiply(pre, _stable_sigmoid(pre, out=sig), out=out)
 
 
@@ -419,7 +438,7 @@ def _swish_local_grad(sig, out, grad) -> np.ndarray:
 
 def swish(x) -> DiffValue:
     x = _as_value(x)
-    sig, data = np.empty(x.data.shape), np.empty(x.data.shape)
+    sig, data = _sigmoid_store(x.data.shape), np.empty(x.data.shape)
     _in_row_blocks(_swish_rows, x.data, sig, data)
 
     def backward(grad):
@@ -428,41 +447,78 @@ def swish(x) -> DiffValue:
     return _node(data, (x,), backward)
 
 
-def edge_gate(x, a, a_index, b, b_index) -> DiffValue:
-    """``swish(x + a[a_index] + b[b_index])`` as one node, summed in that order.
+def dense(x, w, b, activate: bool) -> DiffValue:
+    """``x @ w + b``, then its swish when ``activate``, as one node.
 
-    ``x`` has one row per entry of the indices, which are id arrays or
-    prepared :class:`Segments`. The sum is formed one row block at a time and
-    only the sigmoid and the output are kept; backward hands its one local
-    gradient to ``x`` and scatters it to ``a`` and ``b``.
+    The matmul's product is the node's one (n, m) buffer: the bias is added
+    into it, and the swish written over it one row block at a time. The node
+    keeps that buffer and, when activated under the tape, the sigmoid. Each
+    element meets the ufuncs of ``swish(add(matmul(x, w), b))`` in their
+    order, so every bit, gradients included, is theirs.
     """
-    x, a, b = _as_value(x), _as_value(a), _as_value(b)
+    x, w, b = _as_value(x), _as_value(w), _as_value(b)
+    _check_product("dense", x, w)
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeMismatch(f"dense needs a bias of shape ({w.data.shape[1]},), "
+                            f"got {b.data.shape}")
+    data = x.data @ w.data
+    data += b.data
+    sig = None
+    if activate:
+        sig = _sigmoid_store(data.shape)
+        _in_row_blocks(_swish_rows, data, sig, data)
+
+    def backward(grad):
+        if activate:
+            grad = _swish_local_grad(sig, data, grad)
+        b.accumulate_grad(grad.sum(axis=0))
+        x.accumulate_grad(grad @ w.data.T)
+        w.accumulate_grad(x.data.T @ grad)
+
+    return _node(data, (x, w, b), backward)
+
+
+def edge_gate(e, w, a, a_index, b, b_index) -> DiffValue:
+    """``swish(e @ w + a[a_index] + b[b_index])`` as one node, summed in that order.
+
+    ``e`` has one row per entry of the indices, which are id arrays or
+    prepared :class:`Segments`. The product ``e @ w`` is the node's output
+    buffer: the gathered rows are added into it and the swish written over
+    it one row block at a time, so the node keeps that buffer and, under the
+    tape, the sigmoid. Backward scatters its one local gradient to ``a`` and
+    ``b`` and multiplies it into ``e`` and ``w``.
+    """
+    e, w, a, b = _as_value(e), _as_value(w), _as_value(a), _as_value(b)
     a_index, b_index = segments(a_index), segments(b_index)
-    if not (x.data.ndim == a.data.ndim == b.data.ndim == 2
-            and x.data.shape[0] == a_index.ids.size == b_index.ids.size
-            and x.data.shape[1] == a.data.shape[1] == b.data.shape[1]):
+    _check_product("edge_gate", e, w)
+    if not (a.data.ndim == b.data.ndim == 2
+            and e.data.shape[0] == a_index.ids.size == b_index.ids.size
+            and w.data.shape[1] == a.data.shape[1] == b.data.shape[1]):
         raise ShapeMismatch(
-            f"edge_gate needs (e,f) rows with (n,f) tables indexed by e ids, got "
-            f"{x.data.shape}, {a.data.shape}[{a_index.ids.size}], {b.data.shape}[{b_index.ids.size}]"
+            f"edge_gate needs (e,k)@(k,f) rows with (n,f) tables indexed by e ids, got "
+            f"{e.data.shape}@{w.data.shape}, {a.data.shape}[{a_index.ids.size}], "
+            f"{b.data.shape}[{b_index.ids.size}]"
         )
     _check_ids(a_index, a.data.shape[0], "a id")
     _check_ids(b_index, b.data.shape[0], "b id")
 
-    def rows(x_rows, a_ids, b_ids, sig, out):
-        pre = np.add(x_rows, a.data.take(a_ids, axis=0))
-        pre += b.data.take(b_ids, axis=0)
-        _swish_rows(pre, sig, out)
+    def rows(out, a_ids, b_ids, sig):
+        out += a.data.take(a_ids, axis=0)
+        out += b.data.take(b_ids, axis=0)
+        _swish_rows(out, sig, out)
 
-    sig, data = np.empty(x.data.shape), np.empty(x.data.shape)
-    _in_row_blocks(rows, x.data, a_index.ids, b_index.ids, sig, data)
+    data = e.data @ w.data
+    sig = _sigmoid_store(data.shape)
+    _in_row_blocks(rows, data, a_index.ids, b_index.ids, sig)
 
     def backward(grad):
         local = _swish_local_grad(sig, data, grad)
         a.accumulate_grad(_scatter_rows(local, a_index, a.data.shape[0]))
         b.accumulate_grad(_scatter_rows(local, b_index, b.data.shape[0]))
-        x.accumulate_grad(local)  # last: x may own local and add into it
+        e.accumulate_grad(local @ w.data.T)
+        w.accumulate_grad(e.data.T @ local)
 
-    return _node(data, (x, a, b), backward)
+    return _node(data, (e, w, a, b), backward)
 
 
 def mean(x) -> DiffValue:
@@ -570,10 +626,12 @@ class AdamW:
         self.epsilon = float(epsilon)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        # Two rows sized to the largest parameter hold every temporary of a step.
-        self._scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
+        self._m = [np.zeros(p.data.shape) for p in self.params]
+        self._v = [np.zeros(p.data.shape) for p in self.params]
+        # Two rows of one block, at most the largest parameter, hold every
+        # temporary of a step.
+        largest = max((p.data.size for p in self.params), default=1)
+        self._scratch = np.empty((2, max(min(ROW_BLOCK_BYTES // 8, largest), 1)))
 
     def zero_grad(self):
         for p in self.params:
@@ -591,29 +649,50 @@ class AdamW:
         return value
 
     def step(self):
-        # In place, in the order of p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)
-        # with m += (1 - b1) g and v += ((1 - b2) g) g, through the scratch.
+        """Update every parameter in place, one flat block at a time.
+
+        Parameters must be C-contiguous, so that their flat views write
+        through; any other raises ShapeMismatch before anything moves.
+        """
+        # In the order of p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p) with
+        # m += (1 - b1) g and v += ((1 - b2) g) g, through the scratch.
+        for index, p in enumerate(self.params):
+            if not p.data.flags.c_contiguous:
+                raise ShapeMismatch(f"AdamW updates C-contiguous parameters in place; "
+                                    f"parameter {index} {p!r} is not")
         self.step_count += 1
         t = self.step_count
         m_scale = 1.0 - self.beta1**t
         v_scale = 1.0 - self.beta2**t
+        size = self._scratch.shape[1]
         for p, m, v in zip(self.params, self._m, self._v):
-            grad = p.grad if p.grad is not None else 0.0
-            a, b = (half[:p.data.size].reshape(p.data.shape) for half in self._scratch)
-            m *= self.beta1
-            m += np.multiply(grad, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=a)
-            v += np.multiply(a, grad, out=a)
-            np.divide(v, v_scale, out=a)
-            np.sqrt(a, out=a)
-            a += self.epsilon
-            np.divide(m, m_scale, out=b)
-            b /= a
-            np.multiply(p.data, self.weight_decay, out=a)
-            a += b
-            a *= self.learning_rate
-            p.data -= a
+            arrays = (p.data, m, v) if p.grad is None else (p.data, m, v, p.grad)
+            if p.data.size <= size:
+                self._update(m_scale, v_scale, *arrays)
+                continue
+            # The gradient is only read, so its flat view may be a copy.
+            flat = [array.reshape(-1) for array in arrays]
+            for start in range(0, p.data.size, size):
+                self._update(m_scale, v_scale, *(array[start:start + size] for array in flat))
+
+    def _update(self, m_scale, v_scale, data, m, v, grad=0.0):
+        """:meth:`step` on one block, or one parameter that fits in one; a
+        missing gradient is 0."""
+        a, b = (half[:data.size].reshape(data.shape) for half in self._scratch)
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, grad, out=a)
+        np.divide(v, v_scale, out=a)
+        np.sqrt(a, out=a)
+        a += self.epsilon
+        np.divide(m, m_scale, out=b)
+        b /= a
+        np.multiply(data, self.weight_decay, out=a)
+        a += b
+        a *= self.learning_rate
+        data -= a
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -640,15 +719,58 @@ def save_checkpoint(params: dict[str, DiffValue], path):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a manifest written by :func:`save_checkpoint`."""
-    manifest = json.loads(Path(path).read_text())
+    """Read a manifest written by :func:`save_checkpoint`.
+
+    Anything else raises CheckpointError with the fault: text that is not
+    JSON or not an object, another version, an entry without its name,
+    shape or values, a name given twice, or values that are not finite
+    numbers filling their shape.
+    """
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise CheckpointError(f"checkpoint {path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"checkpoint {path} must hold a JSON object, "
+                              f"got {type(manifest).__name__}")
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    entries = manifest.get("params")
+    if not isinstance(entries, list):
+        raise CheckpointError(f"checkpoint {path} needs a list of params")
     out = {}
-    for entry in manifest["params"]:
-        out[entry["name"]] = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+    for index, entry in enumerate(entries):
+        name, values = _checkpoint_entry(index, entry)
+        if name in out:
+            raise CheckpointError(f"checkpoint names parameter {name!r} twice")
+        out[name] = values
     return out
+
+
+def _checkpoint_entry(index: int, entry) -> tuple[str, np.ndarray]:
+    """Entry ``index`` of a manifest's params as ``(name, array)``."""
+    if not (isinstance(entry, dict) and {"name", "shape", "values"} <= entry.keys()):
+        raise CheckpointError(f"checkpoint entry {index} needs a name, a shape and values")
+    name, shape = entry["name"], entry["shape"]
+    if not isinstance(name, str):
+        raise CheckpointError(f"checkpoint entry {index} has name {name!r}, not a string")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise CheckpointError(f"checkpoint entry {name!r} has shape {shape!r}, "
+                              f"not a list of sizes")
+    try:
+        values = np.array(entry["values"])
+    except ValueError:  # a ragged list
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise CheckpointError(f"checkpoint entry {name!r} values are not a flat list of numbers")
+    if values.size != math.prod(shape):
+        raise CheckpointError(f"checkpoint entry {name!r} holds {values.size} values "
+                              f"for shape {tuple(shape)}")
+    values = values.astype(np.float64, copy=False)
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"checkpoint entry {name!r} holds a value that is not finite")
+    return name, values.reshape(shape)
 
 
 def numerical_gradient(func, arrays):

@@ -45,5 +45,9 @@ class DegenerateAngle(FaframeError, ValueError):
     """A benchmark rotation angle coincides with the structure's own symmetry."""
 
 
+class CheckpointError(FaframeError, ValueError):
+    """A checkpoint file is not a valid parameter manifest, or does not fit the model."""
+
+
 class XYZParseError(FaframeError, ValueError):
     """Malformed extended-XYZ content; the message carries a line number."""

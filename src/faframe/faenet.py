@@ -28,7 +28,7 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
-from .errors import EmptyBatch, NoForcesRequested, ShapeMismatch
+from .errors import CheckpointError, EmptyBatch, NoForcesRequested, ShapeMismatch
 from .frames import ViewPlan, plan_views
 from .geometry import E3, AtomicSystem, build_radius_graphs, positive_setting
 
@@ -42,6 +42,9 @@ PROPERTY_COLUMNS = 10
 
 # Bytes of one E x num_filters float64 edge array per chunk of views at
 # inference: 2 MiB, about 550 edge rows at 480 filters, against a 4 MB L2.
+# A chunk allocates seven such arrays at the default config, the edge MLP's
+# two dense outputs and one gate per interaction, each the buffer its matmul
+# wrote; every sigmoid lives in one row block of scratch.
 # Of budgets of 260, 520 and 1040 rows and one batch (2-vCPU VM, default
 # config), 520 rows was fastest or within noise of it at 8-40 atoms.
 VIEW_CHUNK_BYTES = 2 * 1024 * 1024
@@ -205,10 +208,10 @@ class FAENetModel:
         if set(loaded) != set(self.params):
             missing = sorted(set(self.params) - set(loaded))
             extra = sorted(set(loaded) - set(self.params))
-            raise ValueError(f"checkpoint mismatch; missing {missing}, unexpected {extra}")
+            raise CheckpointError(f"checkpoint mismatch; missing {missing}, unexpected {extra}")
         for name, data in loaded.items():
             if data.shape != self.params[name].data.shape:
-                raise ValueError(
+                raise CheckpointError(
                     f"checkpoint entry {name} has shape {data.shape}, "
                     f"expected {self.params[name].data.shape}"
                 )
@@ -290,8 +293,8 @@ def _view_chunks(batch: _Batch, num_filters: int) -> list[tuple[int, int]]:
 
 
 def _two_layer(params, prefix, x: DiffValue) -> DiffValue:
-    hidden = dm.swish(dm.add(dm.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return dm.add(dm.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    hidden = dm.dense(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], activate=True)
+    return dm.dense(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"], activate=False)
 
 
 def _embed_arrays(model: FAENetModel, z_index: np.ndarray,
@@ -313,23 +316,24 @@ def _interaction_arrays(model: FAENetModel, layer: int, h: DiffValue, e: DiffVal
     if variant == "standard":
         # concat([e, h[dst], h[src]]) @ filter_w + filter_b, one row block
         # of filter_w per part. The node blocks (and the bias, carried by
-        # the dst block) are applied per node; edge_gate gathers them to the
-        # edges, adds the edge block and takes the swish as one node.
+        # the dst block) are applied per node; edge_gate multiplies the edge
+        # block, gathers the node blocks to the edges, adds them and takes
+        # the swish as one node.
         f, hidden = model.config.num_filters, model.config.hidden_channels
         weight = params[f"{prefix}.filter_w"]
-        per_dst = dm.add(dm.matmul(h, dm.slice_rows(weight, f, f + hidden)),
-                         params[f"{prefix}.filter_b"])
+        per_dst = dm.dense(h, dm.slice_rows(weight, f, f + hidden), params[f"{prefix}.filter_b"],
+                           activate=False)
         per_src = dm.matmul(h, dm.slice_rows(weight, f + hidden, f + 2 * hidden))
-        gate = dm.edge_gate(dm.matmul(e, dm.slice_rows(weight, 0, f)), per_dst, dst, per_src, src)
+        gate = dm.edge_gate(e, dm.slice_rows(weight, 0, f), per_dst, dst, per_src, src)
     elif variant == "simple":
-        gate = dm.swish(dm.add(dm.matmul(e, params[f"{prefix}.filter_w"]),
-                               params[f"{prefix}.filter_b"]))
+        gate = dm.dense(e, params[f"{prefix}.filter_w"], params[f"{prefix}.filter_b"],
+                        activate=True)
     else:
         gate = e
     transformed = dm.matmul(h, params[f"{prefix}.node_w"])
     aggregated = dm.message_sum(gate, transformed, src, dst, num_nodes)
-    update = dm.swish(dm.add(dm.matmul(aggregated, params[f"{prefix}.update_w"]),
-                             params[f"{prefix}.update_b"]))
+    update = dm.dense(aggregated, params[f"{prefix}.update_w"], params[f"{prefix}.update_b"],
+                      activate=True)
     return dm.add(h, update)
 
 

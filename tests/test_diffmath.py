@@ -1,12 +1,19 @@
 """Reverse-mode autodiff core: op gradients, optimizer, checkpoints."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from faframe import diffmath as dm
-from faframe.errors import NonFiniteLoss, NonScalarLoss, ShapeMismatch
+from faframe.errors import (
+    CheckpointError,
+    FaframeError,
+    NonFiniteLoss,
+    NonScalarLoss,
+    ShapeMismatch,
+)
 
 
 def scalar(x):
@@ -170,16 +177,23 @@ def test_blocked_scatter_is_bitwise_permute_then_reduceat(block_rows, monkeypatc
 # ----------------------------------------------------------------- edge_gate
 
 
-def _unfused_gate(x, a, a_index, b, b_index):
-    return dm.swish(dm.add(dm.add(x, dm.gather_rows(a, a_index)), dm.gather_rows(b, b_index)))
+def _unfused_gate(e, w, a, a_index, b, b_index):
+    return dm.swish(dm.add(dm.add(dm.matmul(e, w), dm.gather_rows(a, a_index)),
+                           dm.gather_rows(b, b_index)))
 
 
 def _gate_grads(gate, arrays, a_index, b_index, weights):
     """Output and the gradient of every parent of ``gate`` under a weighted sum."""
-    x, a, b = (dm.DiffValue(array.copy()) for array in arrays)
-    out = gate(x, a, a_index, b, b_index)
+    e, w, a, b = (dm.DiffValue(array.copy()) for array in arrays)
+    out = gate(e, w, a, a_index, b, b_index)
     dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))
-    return [out.data, x.grad, a.grad, b.grad]
+    return [out.data, e.grad, w.grad, a.grad, b.grad]
+
+
+def _gate_arrays(rng, edges, n, width=4, k=3):
+    """Edge rows, the edge weight and the two node tables of a gate."""
+    return [rng.standard_normal((edges, k)), rng.standard_normal((k, width)),
+            rng.standard_normal((n, width)), rng.standard_normal((n, width))]
 
 
 # (dst ids, src ids, table rows): rows 2 and 3 of "isolated" are no edge's end.
@@ -194,8 +208,7 @@ GATE_CASES = {
 def test_edge_gate_is_bitwise_the_unfused_composition(case, monkeypatch):
     dst, src, n = GATE_CASES[case]
     rng = np.random.default_rng(len(dst))
-    arrays = [rng.standard_normal((len(dst), 4)), rng.standard_normal((n, 4)),
-              rng.standard_normal((n, 4))]
+    arrays = _gate_arrays(rng, len(dst), n)
     weights = rng.standard_normal((len(dst), 4))
     expected = _gate_grads(_unfused_gate, arrays, dst, src, weights)
     # One row per block as well, so the chains run over many blocks.
@@ -206,7 +219,7 @@ def test_edge_gate_is_bitwise_the_unfused_composition(case, monkeypatch):
             for g, e in zip(got, expected):
                 assert g.tobytes() == e.tobytes()
     if case == "isolated":
-        assert not expected[2][2:4].any() and not expected[3][2:4].any()
+        assert not expected[3][2:4].any() and not expected[4][2:4].any()
 
 
 def test_edge_gate_over_a_window_is_bitwise_the_unfused_composition():
@@ -217,8 +230,7 @@ def test_edge_gate_over_a_window_is_bitwise_the_unfused_composition():
     src = np.concatenate([rng.integers(0, 3, 5), 3 + rng.integers(0, 4, 7)])
     a_index = dm.segments(dm.segments(dst).ids[5:12] - 3)
     b_index = dm.segments(dm.segments(src).ids[5:12] - 3)
-    arrays = [rng.standard_normal((7, 3)), rng.standard_normal((4, 3)),
-              rng.standard_normal((4, 3))]
+    arrays = _gate_arrays(rng, 7, 4, width=3)
     weights = rng.standard_normal((7, 3))
     got = _gate_grads(dm.edge_gate, arrays, a_index, b_index, weights)
     expected = _gate_grads(_unfused_gate, arrays, dst[5:] - 3, src[5:] - 3, weights)
@@ -229,17 +241,16 @@ def test_edge_gate_over_a_window_is_bitwise_the_unfused_composition():
 def test_edge_gate_matches_finite_differences():
     rng = np.random.default_rng(5)
     dst, src = np.array([1, 0, 1, 2, 2]), np.array([2, 2, 0, 1, 1])
-    arrays = [rng.standard_normal((5, 3)), rng.standard_normal((3, 3)),
-              rng.standard_normal((3, 3))]
+    arrays = _gate_arrays(rng, 5, 3, width=3, k=2)
     weights = rng.standard_normal((5, 3))
 
     def run(current):
-        x, a, b = (dm.DiffValue(array) for array in current)
-        gate = dm.edge_gate(x, a, dm.segments(dst), b, dm.segments(src))
+        e, w, a, b = (dm.DiffValue(array) for array in current)
+        gate = dm.edge_gate(e, w, a, dm.segments(dst), b, dm.segments(src))
         return float(dm.sum_all(dm.mul(dm.mul(gate, gate), dm.constant(weights))).data)
 
     values = [dm.DiffValue(array.copy()) for array in arrays]
-    gate = dm.edge_gate(values[0], values[1], dst, values[2], src)
+    gate = dm.edge_gate(values[0], values[1], values[2], dst, values[3], src)
     dm.backward(dm.sum_all(dm.mul(dm.mul(gate, gate), dm.constant(weights))))
     numeric = dm.numerical_gradient(run, arrays)
     for value, num in zip(values, numeric):
@@ -248,10 +259,13 @@ def test_edge_gate_matches_finite_differences():
 
 def test_edge_gate_rejects_mismatched_rows():
     x, table = dm.DiffValue(np.zeros((3, 2))), dm.DiffValue(np.zeros((2, 2)))
+    w = dm.DiffValue(np.eye(2))
     with pytest.raises(ShapeMismatch, match="edge_gate"):
-        dm.edge_gate(x, table, [0, 1], table, [0, 1, 1])
+        dm.edge_gate(x, w, table, [0, 1], table, [0, 1, 1])
     with pytest.raises(ShapeMismatch, match="edge_gate"):
-        dm.edge_gate(x, dm.DiffValue(np.zeros((2, 3))), [0, 1, 1], table, [0, 1, 1])
+        dm.edge_gate(x, w, dm.DiffValue(np.zeros((2, 3))), [0, 1, 1], table, [0, 1, 1])
+    with pytest.raises(ShapeMismatch, match="edge_gate"):
+        dm.edge_gate(x, dm.DiffValue(np.zeros((3, 2))), table, [0, 1, 1], table, [0, 1, 1])
 
 
 # --------------------------------------------------------------- message_sum
@@ -357,13 +371,14 @@ def test_message_sum_rejects_out_of_range_ids(src, dst, what):
 def test_gather_rows_and_edge_gate_reject_out_of_range_ids(bad):
     # -1 would wrap round to the last row; 3 would be a bare IndexError.
     x, table = dm.DiffValue(np.ones((2, 2))), dm.DiffValue(np.ones((3, 2)))
+    w = dm.DiffValue(np.eye(2))
     for index in ([0, bad], dm.segments([0, bad])):
         with pytest.raises(ShapeMismatch, match="row id out of range"):
             dm.gather_rows(table, index)
         with pytest.raises(ShapeMismatch, match="a id out of range"):
-            dm.edge_gate(x, table, index, table, [0, 1])
+            dm.edge_gate(x, w, table, index, table, [0, 1])
         with pytest.raises(ShapeMismatch, match="b id out of range"):
-            dm.edge_gate(x, table, [0, 1], table, index)
+            dm.edge_gate(x, w, table, [0, 1], table, index)
 
 
 def test_swish_over_row_blocks_is_bitwise_one_pass(monkeypatch):
@@ -380,6 +395,137 @@ def test_swish_over_row_blocks_is_bitwise_one_pass(monkeypatch):
     dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))
     assert out.data.tobytes() == expected_out.tobytes()
     assert value.grad.tobytes() == expected_grad.tobytes()
+
+
+# --------------------------------------------------------------------- dense
+
+
+def _unfused_dense(x, w, b, activate):
+    out = dm.add(dm.matmul(x, w), b)
+    return dm.swish(out) if activate else out
+
+
+def _dense_grads(dense, arrays, activate, weights):
+    """Output and the gradient of every parent of ``dense`` under a weighted sum."""
+    x, w, b = (dm.DiffValue(array.copy()) for array in arrays)
+    out = dense(x, w, b, activate)
+    dm.backward(dm.sum_all(dm.mul(out, dm.constant(weights))))
+    return [out.data, x.grad, w.grad, b.grad]
+
+
+@pytest.mark.parametrize("activate", [True, False])
+def test_dense_is_bitwise_the_unfused_composition(activate, monkeypatch):
+    rng = np.random.default_rng(9)
+    arrays = [rng.standard_normal((11, 5)) * 10.0, rng.standard_normal((5, 6)),
+              rng.standard_normal(6)]
+    weights = rng.standard_normal((11, 6))
+    expected = _dense_grads(_unfused_dense, arrays, activate, weights)
+    for block_bytes in (dm.ROW_BLOCK_BYTES, 2 * 8 * 6):  # two rows a block
+        monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", block_bytes)
+        got = _dense_grads(dm.dense, arrays, activate, weights)
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("activate", [True, False])
+def test_dense_matches_finite_differences(activate):
+    rng = np.random.default_rng(10)
+    arrays = [rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)]
+    weights = rng.standard_normal((5, 4))
+
+    def loss(values):
+        out = dm.dense(*values, activate=activate)
+        return dm.sum_all(dm.mul(dm.mul(out, out), dm.constant(weights)))
+
+    values = [dm.DiffValue(array.copy()) for array in arrays]
+    dm.backward(loss(values))
+    numeric = dm.numerical_gradient(
+        lambda current: float(loss([dm.DiffValue(array) for array in current]).data), arrays)
+    for value, num in zip(values, numeric):
+        assert np.abs(value.grad - num).max() / max(np.abs(num).max(), 1.0) < 1e-7
+
+
+def test_dense_rejects_mismatched_shapes():
+    x, w = dm.DiffValue(np.zeros((3, 2))), dm.DiffValue(np.zeros((2, 4)))
+    with pytest.raises(ShapeMismatch, match="dense"):
+        dm.dense(x, dm.DiffValue(np.zeros((3, 4))), np.zeros(4), activate=True)
+    with pytest.raises(ShapeMismatch, match="dense"):
+        dm.dense(x, w, np.zeros(3), activate=False)
+    with pytest.raises(ShapeMismatch, match="dense"):
+        dm.dense(x, w, np.zeros((3, 4)), activate=False)
+
+
+def test_fused_nodes_give_the_same_bits_without_the_tape(monkeypatch):
+    # Without the tape the sigmoid lives in block scratch; the outputs keep
+    # their bits, at the default block size and at two rows a block.
+    rng = np.random.default_rng(11)
+    dense_arrays = [rng.standard_normal((9, 5)) * 10.0, rng.standard_normal((5, 6)),
+                    rng.standard_normal(6)]
+    dst, src, n = GATE_CASES["repeated_unsorted"]
+    gate_arrays = _gate_arrays(rng, len(dst), n, width=6)
+    expected = [_unfused_dense(*dense_arrays, True).data,
+                _unfused_gate(gate_arrays[0], gate_arrays[1], gate_arrays[2], dst,
+                              gate_arrays[3], src).data,
+                dm.swish(dense_arrays[0]).data]
+    for block_bytes in (dm.ROW_BLOCK_BYTES, 2 * 8 * 6):
+        monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", block_bytes)
+        with dm.no_grad():
+            got = [dm.dense(*dense_arrays, activate=True).data,
+                   dm.edge_gate(gate_arrays[0], gate_arrays[1], gate_arrays[2], dst,
+                                gate_arrays[3], src).data,
+                   dm.swish(dense_arrays[0]).data]
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
+
+# Bytes a fused node may allocate beyond its arrays: the node, its closure
+# and the views of its row blocks.
+NODE_OVERHEAD = 16 * 1024
+
+
+def _traced_bytes(build):
+    """``build()``, with the bytes it left allocated and its peak, both
+    counted from the start of the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, current - base, peak - base
+
+
+def _fused_builds(rng):
+    # A 2 MiB output: eight default row blocks.
+    x, w, b = rng.standard_normal((4096, 16)), rng.standard_normal((16, 64)), rng.standard_normal(64)
+    table = rng.standard_normal((300, 64))
+    ids = dm.segments(rng.integers(0, 300, 4096))
+    return {
+        "dense": lambda: dm.dense(x, w, b, activate=True),
+        "edge_gate": lambda: dm.edge_gate(x, w, table, ids, table, ids),
+    }
+
+
+@pytest.mark.parametrize("op", ["dense", "edge_gate"])
+def test_fused_node_without_the_tape_allocates_its_output_and_one_block(op):
+    build = _fused_builds(np.random.default_rng(12))[op]
+    with dm.no_grad():
+        value, kept, peak = _traced_bytes(build)
+    out = value.data.nbytes
+    assert out == 4096 * 64 * 8
+    assert out <= kept <= out + NODE_OVERHEAD
+    assert peak <= out + dm.ROW_BLOCK_BYTES + NODE_OVERHEAD
+
+
+@pytest.mark.parametrize("op", ["dense", "edge_gate"])
+def test_fused_node_on_the_tape_keeps_its_output_and_sigmoid(op):
+    build = _fused_builds(np.random.default_rng(13))[op]
+    value, kept, peak = _traced_bytes(build)
+    out = value.data.nbytes
+    assert 2 * out <= kept <= 2 * out + NODE_OVERHEAD
+    # a gathered block of a table is all edge_gate forms beside the two
+    assert peak <= 2 * out + dm.ROW_BLOCK_BYTES + NODE_OVERHEAD
 
 
 # -------------------------------------------------------- gradient ownership
@@ -699,6 +845,49 @@ def test_adamw_in_place_step_is_bitwise_the_temporary_formula():
             assert v.tobytes() == v_ref.tobytes()
 
 
+def test_adamw_in_blocks_is_bitwise_the_whole_array_update(monkeypatch):
+    # Seven elements a block: the (5, 6) parameter spans five blocks, the
+    # last one short; the (4,) one fits one block, and the 0-d one too.
+    monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", 7 * 8)
+    rng = np.random.default_rng(32)
+    hyper = dict(lr=2e-2, b1=0.85, b2=0.9, eps=1e-7, wd=0.3)
+    shapes = [(5, 6), (4,), ()]
+    params = [dm.DiffValue(rng.standard_normal(shape)) for shape in shapes]
+    reference = [dm.DiffValue(p.data.copy()) for p in params]
+    ms = [np.zeros_like(p.data) for p in reference]
+    vs = [np.zeros_like(p.data) for p in reference]
+    opt = dm.AdamW(params, learning_rate=hyper["lr"], betas=(hyper["b1"], hyper["b2"]),
+                   epsilon=hyper["eps"], weight_decay=hyper["wd"])
+    assert opt._scratch.shape == (2, 7)
+    for t in range(1, 6):
+        for k, (p, r) in enumerate(zip(params, reference)):
+            p.zero_grad()
+            r.zero_grad()
+            if (t + k) % 2:  # every parameter also takes steps whose .grad is None
+                grad = rng.standard_normal(p.data.shape)
+                p.accumulate_grad(grad)
+                r.accumulate_grad(grad)
+        opt.step()
+        _adamw_reference_step(reference, ms, vs, t, **hyper)
+        for p, r, m, v, m_ref, v_ref in zip(params, reference, opt._m, opt._v, ms, vs):
+            assert p.data.tobytes() == r.data.tobytes()
+            assert m.tobytes() == m_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+
+
+def test_adamw_rejects_a_parameter_that_is_not_contiguous():
+    # A flat view of a transposed array would be a copy, and the update lost.
+    contiguous = dm.DiffValue(np.ones(3))
+    strided = dm.DiffValue(np.ones((3, 4)).T)
+    for p in (contiguous, strided):
+        p.accumulate_grad(np.ones(p.data.shape))
+    opt = dm.AdamW([contiguous, strided], learning_rate=0.1)
+    with pytest.raises(ShapeMismatch, match="C-contiguous"):
+        opt.step()
+    assert opt.step_count == 0
+    assert (contiguous.data == 1.0).all() and (strided.data == 1.0).all()
+
+
 def _quadratic_problem(seed):
     """Parameters and a loss builder over them: sum((x @ w + b)^2)."""
     rng = np.random.default_rng(seed)
@@ -802,6 +991,46 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text('{"format_version": 999, "params": []}')
     with pytest.raises(ValueError):
         dm.load_checkpoint(path)
+
+
+_ENTRY = '{"name": "w", "shape": [2], "values": [1.0, 2.0]}'
+
+BAD_CHECKPOINTS = {
+    "not_json": ('{"format_version": 1, "params": [', "not JSON"),
+    "top_level_list": ("[1, 2]", "JSON object, got list"),
+    "no_params": ('{"format_version": 1}', "list of params"),
+    "no_name": ('{"format_version": 1, "params": [{"shape": [1], "values": [1.0]}]}',
+                "needs a name"),
+    "no_shape": ('{"format_version": 1, "params": [{"name": "w", "values": [1.0]}]}',
+                 "needs a name, a shape"),
+    "no_values": ('{"format_version": 1, "params": [{"name": "w", "shape": [1]}]}',
+                  "and values"),
+    "count_mismatch": ('{"format_version": 1, "params": '
+                       '[{"name": "w", "shape": [2, 2], "values": [1.0, 2.0, 3.0]}]}',
+                       r"holds 3 values for shape \(2, 2\)"),
+    "non_numeric": ('{"format_version": 1, "params": '
+                    '[{"name": "w", "shape": [2], "values": [1.0, "x"]}]}',
+                    "not a flat list of numbers"),
+    "nested_values": ('{"format_version": 1, "params": '
+                      '[{"name": "w", "shape": [2], "values": [[1.0], 2.0]}]}',
+                      "not a flat list of numbers"),
+    "bad_shape": ('{"format_version": 1, "params": '
+                  '[{"name": "w", "shape": [-2], "values": []}]}', "not a list of sizes"),
+    "duplicate_name": (f'{{"format_version": 1, "params": [{_ENTRY}, {_ENTRY}]}}',
+                       "'w' twice"),
+    "nan_value": ('{"format_version": 1, "params": '
+                  '[{"name": "w", "shape": [2], "values": [1.0, NaN]}]}', "not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_checkpoint_rejects_a_bad_manifest_as_a_checkpoint_error(case, tmp_path):
+    text, message = BAD_CHECKPOINTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError, match=message) as err:
+        dm.load_checkpoint(path)
+    assert isinstance(err.value, FaframeError)
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

@@ -7,6 +7,7 @@ from conftest import MOLECULES
 from faframe import diffmath as dm
 from faframe import faenet
 from faframe.errors import (
+    CheckpointError,
     EmptyBatch,
     FaframeError,
     NoForcesRequested,
@@ -761,8 +762,14 @@ def _zero_fill_accumulate(self, delta):
     self.grad += delta
 
 
-def _unfused_edge_gate(x, a, a_index, b, b_index):
-    return dm.swish(dm.add(dm.add(x, dm.gather_rows(a, a_index)), dm.gather_rows(b, b_index)))
+def _unfused_dense(x, w, b, activate):
+    out = dm.add(dm.matmul(x, w), b)
+    return dm.swish(out) if activate else out
+
+
+def _unfused_edge_gate(e, w, a, a_index, b, b_index):
+    return dm.swish(dm.add(dm.add(dm.matmul(e, w), dm.gather_rows(a, a_index)),
+                           dm.gather_rows(b, b_index)))
 
 
 def _unfused_message_sum(gate, x, src, dst, num_segments):
@@ -793,13 +800,14 @@ def _two_force_steps(seed):
 
 
 def test_training_is_bitwise_the_zero_filled_unfused_tape(monkeypatch):
-    # Owned gradients, the fused gate and message sum, and blocked swish
-    # chains and scatters (a few rows per block here) change no bit of the
-    # loss or of any parameter.
+    # Owned gradients, the fused dense steps, gate and message sum, and
+    # blocked swish chains and scatters (a few rows per block here) change
+    # no bit of the loss or of any parameter.
     monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", 3 * 8 * 8)
     losses, params = _two_force_steps(31)
     monkeypatch.setattr(dm, "ROW_BLOCK_BYTES", 1 << 40)
     monkeypatch.setattr(dm.DiffValue, "accumulate_grad", _zero_fill_accumulate)
+    monkeypatch.setattr(dm, "dense", _unfused_dense)
     monkeypatch.setattr(dm, "edge_gate", _unfused_edge_gate)
     monkeypatch.setattr(dm, "message_sum", _unfused_message_sum)
     monkeypatch.setattr(dm, "_scatter_rows", _whole_array_scatter)
@@ -931,6 +939,21 @@ def test_model_save_load_roundtrip(tmp_path):
     assert forward(fresh, system).energy != pytest.approx(expected)
     fresh.load(path)
     assert forward(fresh, system).energy == pytest.approx(expected, rel=1e-15)
+
+
+def test_load_rejects_a_checkpoint_of_other_names_or_shapes(tmp_path):
+    model = FAENetModel(TINY, np.random.default_rng(24))
+    path = tmp_path / "weights.json"
+    params = dict(model.params)
+    params["extra"] = dm.DiffValue(np.zeros(2))
+    dm.save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match=r"unexpected \['extra'\]"):
+        model.load(path)
+    params = dict(model.params)
+    params["atom_embedding"] = dm.DiffValue(np.zeros((2, 2)))
+    dm.save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match="atom_embedding has shape"):
+        model.load(path)
 
 
 def test_load_rejects_mismatched_architecture(tmp_path):
