@@ -667,18 +667,14 @@ class AdamW:
         size = self._scratch.shape[1]
         for p, m, v in zip(self.params, self._m, self._v):
             arrays = (p.data, m, v) if p.grad is None else (p.data, m, v, p.grad)
-            if p.data.size <= size:
-                self._update(m_scale, v_scale, *arrays)
-                continue
             # The gradient is only read, so its flat view may be a copy.
             flat = [array.reshape(-1) for array in arrays]
             for start in range(0, p.data.size, size):
                 self._update(m_scale, v_scale, *(array[start:start + size] for array in flat))
 
     def _update(self, m_scale, v_scale, data, m, v, grad=0.0):
-        """:meth:`step` on one block, or one parameter that fits in one; a
-        missing gradient is 0."""
-        a, b = (half[:data.size].reshape(data.shape) for half in self._scratch)
+        """:meth:`step` on one flat block; a missing gradient is 0."""
+        a, b = (half[:data.size] for half in self._scratch)
         m *= self.beta1
         m += np.multiply(grad, 1.0 - self.beta1, out=a)
         v *= self.beta2

@@ -215,6 +215,7 @@ class FAENetModel:
                     f"checkpoint entry {name} has shape {data.shape}, "
                     f"expected {self.params[name].data.shape}"
                 )
+        for name, data in loaded.items():
             self.params[name].data = data
 
 

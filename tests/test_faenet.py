@@ -949,11 +949,16 @@ def test_load_rejects_a_checkpoint_of_other_names_or_shapes(tmp_path):
     dm.save_checkpoint(params, path)
     with pytest.raises(CheckpointError, match=r"unexpected \['extra'\]"):
         model.load(path)
-    params = dict(model.params)
+    # Another model's weights, with a wrong-shaped entry written last: the
+    # entries before it must not be loaded either.
+    params = dict(FAENetModel(TINY, np.random.default_rng(25)).params)
+    del params["atom_embedding"]
     params["atom_embedding"] = dm.DiffValue(np.zeros((2, 2)))
     dm.save_checkpoint(params, path)
+    before = {name: p.data.tobytes() for name, p in model.params.items()}
     with pytest.raises(CheckpointError, match="atom_embedding has shape"):
         model.load(path)
+    assert {name: p.data.tobytes() for name, p in model.params.items()} == before
 
 
 def test_load_rejects_mismatched_architecture(tmp_path):
