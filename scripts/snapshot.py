@@ -22,6 +22,8 @@ The cases:
 - ``forward.txt``: ``forward`` energies and forces of every system, in full
   mode, in full mode with ``VIEW_CHUNK_BYTES=1`` (one view per chunk), and
   in stochastic mode;
+- ``predict.txt``: ``predict_views`` energies and forces of one plan of
+  the whole panel in every ``fa_mode``, the random modes on a seeded rng;
 - ``train.txt``: the losses of 3 ``train_step`` calls and a sha256 of every
   parameter after them;
 - ``audit_rng.json``: ``audit_model``'s report and the rng state after it,
@@ -50,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from faframe import cli, diffmath, faenet  # noqa: E402
 from faframe.audit import audit_model  # noqa: E402
 from faframe.faenet import FAENetConfig, FAENetModel, TrainSample  # noqa: E402
-from faframe.frames import FA_MODES  # noqa: E402
+from faframe.frames import FA_MODES, plan_views  # noqa: E402
 from faframe.geometry import E3, SE3, Z_AXIS_2D, AtomicSystem  # noqa: E402
 from faframe.xyz import format_xyz  # noqa: E402
 
@@ -166,6 +168,17 @@ def forward_case(out: Path, systems: dict[str, AtomicSystem], config: FAENetConf
     (out / "forward.txt").write_text("\n".join(lines) + "\n")
 
 
+def predict_case(out: Path, systems: dict[str, AtomicSystem], config: FAENetConfig):
+    model = FAENetModel(config, np.random.default_rng(41))
+    lines = []
+    for mode in FA_MODES:
+        plan = plan_views(list(systems.values()), mode, E3, np.random.default_rng(42))
+        for name, prediction in zip(systems, faenet.predict_views(model, plan)):
+            lines.append(f"{name} {mode} energy {hexes(prediction.energy)}")
+            lines.append(f"{name} {mode} forces {hexes(prediction.forces)}")
+    (out / "predict.txt").write_text("\n".join(lines) + "\n")
+
+
 def train_case(out: Path, config: FAENetConfig, sizes: tuple[int, ...]):
     model = FAENetModel(config, np.random.default_rng(21))
     optimizer = diffmath.AdamW(model.parameters(), learning_rate=1e-3, weight_decay=0.01)
@@ -205,6 +218,7 @@ def snapshot(out: Path, tiny: bool):
     cli_cases(out, systems, tiny)
     config = FAENetConfig(**SMALL_CONFIG) if tiny else FAENetConfig(predict_forces=True)
     forward_case(out, systems, config)
+    predict_case(out, systems, config)
     train_case(out, config, (4, 6) if tiny else (8, 9, 10, 11, 12, 14, 16, 32))
     audit_rng_case(out, systems)
 

@@ -6,12 +6,14 @@ meV/angstrom. Rotation metrics sample det +1 rotations, reflection metrics
 sample det -1 rigid motions; one panel of both serves every system. The
 ``pos`` flag records whether the canonicalization machinery mapped every
 transformed copy to the same representation: 1 means the canonical-view
-multisets coincide for all sampled transforms. A system and each of its
-transformed copies are planned once, by :func:`~faframe.frames.plan_views`;
-each copy's canonical views are compared with the system's own, and each
-prediction is made from its plan alone. Systems whose frames are degenerate
-are counted and left out of every metric. No systems, an unknown
-``fa_mode`` or a target that is not a finite number is an error.
+multisets coincide for all sampled transforms. A system and its transformed
+copies are one :func:`~faframe.frames.plan_views` plan, which draws from the
+rng as planning each copy in turn would; each copy's canonical views are
+compared with the system's own, and one :func:`~faframe.faenet.predict_views`
+batch predicts them all. Systems whose frames are degenerate are counted and
+left out of every metric. No systems, an unknown ``fa_mode``, a
+``num_transforms`` that is not a positive integer or a target that is not a
+finite number is an error.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .geometry import (
     AtomicSystem,
     apply_transforms,
     normalize_group,
+    positive_setting,
     random_transforms,
     with_det_sign,
 )
@@ -81,16 +84,16 @@ def _probe_panel(rng: np.random.Generator, num_transforms: int) -> tuple[np.ndar
             np.concatenate([translations, shifts]))
 
 
-def _representation(plan: ViewPlan) -> np.ndarray:
-    """What the model is shown of a one-system ``plan``'s system: a ``(views,
+def _representation(plan: ViewPlan, index: int) -> np.ndarray:
+    """What the model is shown of system ``index`` of ``plan``: a ``(views,
     rows, 3)`` stack of positions plus cell rows, if any, of each canonical
-    view of the plan's frame, or of the raw input when it frames nothing."""
-    system, = plan.systems
+    view of its frame, or of the raw input when the plan frames nothing."""
+    system = plan.systems[index]
     if plan.frames is None:
         positions = system.positions[None]
         cells = None if system.cell is None else system.cell[None]
     else:
-        frame, = plan.frames
+        frame = plan.frames[index]
         positions, cells = canonical_views(system, frame.translation, frame.rotations)
     return positions if cells is None else np.concatenate([positions, cells], axis=1)
 
@@ -128,8 +131,7 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
     check_fa_mode(fa_mode)
     if not systems:
         raise EmptyBatch("empty batch: at least one system is needed")
-    if num_transforms < 1:
-        raise ValueError(f"num_transforms must be at least 1, got {num_transforms}")
+    num_transforms = positive_setting("num_transforms", num_transforms, integer=True)
     if targets is not None and len(targets) != len(systems):
         raise ValueError(f"{len(targets)} targets for {len(systems)} systems")
     for index, target in enumerate(() if targets is None else targets):
@@ -158,13 +160,13 @@ def audit_model(model: FAENetModel, systems: list[AtomicSystem], *,
             degenerate_count += 1
             continue
         copies = [system, *apply_transforms(system, rotations, translations)]
-        # One at a time and in this order, as forward would plan each.
-        plans = [plan_views([copy], fa_mode, group, rng) for copy in copies]
+        # One plan in this order draws from rng as forward on each copy in turn.
+        plan = plan_views(copies, fa_mode, group, rng)
         if pos:
-            reference = _representation(plans[0])
-            pos = int(all(_multisets_match(reference, _representation(plan))
-                          for plan in plans[1:]))
-        base, *predictions = [predict_views(model, plan) for plan in plans]
+            reference = _representation(plan, 0)
+            pos = int(all(_multisets_match(reference, _representation(plan, copy))
+                          for copy in range(1, len(copies))))
+        base, *predictions = predict_views(model, plan)
         for rotation, prediction in zip(rotations, predictions):
             shifts.append(abs(prediction.energy - base.energy))
             if force_metrics:

@@ -33,7 +33,9 @@ from .geometry import (
     AtomicSystem,
     apply_transform,
     apply_transforms,
+    count_setting,
     normalize_group,
+    positive_setting,
     random_transform,
     random_transforms,
 )
@@ -166,8 +168,7 @@ def gen_k_chain(k: int) -> BenchmarkInstance:
     relation of the two end atoms differs, so any model that cannot see
     beyond local environments finds the classes indistinguishable.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    k = count_setting("k", k, 2)
     numbers = np.full(k + 2, _CHAIN_ELEMENT)
     cis = AtomicSystem(_chain_positions(k, True), numbers)
     trans = AtomicSystem(_chain_positions(k, False), numbers)
@@ -200,8 +201,7 @@ def gen_rot_sym(length: int, angle: float | None = None) -> BenchmarkInstance:
     Angles that are multiples of 2*pi/L collapse the classes and raise
     DegenerateAngle.
     """
-    if length < 2:
-        raise ValueError(f"ring length must be at least 2, got {length}")
+    length = count_setting("length", length, 2)
     if angle is None:
         angle = math.pi / length
     if not math.isfinite(angle):
@@ -292,17 +292,16 @@ def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
     cross-entropy step on the energy output; accuracy is measured on
     ``test_transforms`` unseen copies per class, labeling by the sign of the
     predicted energy. The pair is built and certified rigidly distinct once
-    per call, by :func:`rigid_alignment_residual`'s stacked solve.
+    per call, by :func:`rigid_alignment_residual`'s stacked solve. A count
+    that is not an integer in range raises ValueError naming it.
     """
     group = normalize_group(group)
-    if num_seeds < 1:
-        raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
-    if test_transforms < 1:
-        raise ValueError(f"test_transforms must be at least 1, got {test_transforms}")
-    if epochs < 0:
-        raise ValueError(f"epochs must be at least 0, got {epochs}")
-    if train_transforms < 0:
-        raise ValueError(f"train_transforms must be at least 0, got {train_transforms}")
+    num_seeds = positive_setting("num_seeds", num_seeds, integer=True)
+    test_transforms = positive_setting("test_transforms", test_transforms, integer=True)
+    epochs = count_setting("epochs", epochs)
+    train_transforms = count_setting("train_transforms", train_transforms)
+    # Both families need at least two chain or ring atoms.
+    parameter = count_setting("parameter", parameter, 2)
     if family == "kchains":
         if angle is not None:
             raise ValueError("angle only applies to the rotsym family")

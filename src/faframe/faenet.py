@@ -8,8 +8,12 @@ axes; outputs are mapped back and averaged.
 Energies are per-system scalars; forces, when enabled, come from a direct
 per-atom head evaluated in canonical axes.
 
-Inference (no tape) runs the backbone over chunks of consecutive views within
-``VIEW_CHUNK_BYTES`` and the heads once; training runs one batch.
+:func:`predict_views` predicts every system of a plan in one batch, and
+:func:`forward` is its one-system call. A batch keeps each system's edge
+vectors and radial block once; each run of the backbone builds the edge
+features of its own views. Inference (no tape) runs the backbone over chunks
+of consecutive views within ``VIEW_CHUNK_BYTES`` and the heads once;
+training runs one batch.
 
 Frames are computed outside the autodiff graph and treated as constants;
 gradients flow through the network weights only.
@@ -28,7 +32,7 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
-from .errors import CheckpointError, EmptyBatch, NoForcesRequested, ShapeMismatch
+from .errors import CheckpointError, EmptyBatch, NoForcesRequested
 from .frames import ViewPlan, plan_views
 from .geometry import E3, AtomicSystem, build_radius_graphs, positive_setting
 
@@ -222,7 +226,9 @@ class FAENetModel:
 class _Batch(NamedTuple):
     plan: ViewPlan
     z_index: np.ndarray
-    edge_features: np.ndarray
+    vectors: list[np.ndarray]
+    radial: np.ndarray
+    edge_input: np.ndarray
     src: dm.Segments
     dst: dm.Segments
     atom_output: np.ndarray
@@ -236,10 +242,12 @@ def _make_batch(plan: ViewPlan, config: FAENetConfig) -> _Batch:
     output per view; the batch keeps the plan.
 
     The systems' radius graphs come from one search and their radial block
-    from one pass, in the input pose; every view of a system shares them and
-    turns the edge vectors by the view's rotation. Row ``r`` of the batch is
-    input atom ``atom_input[r]`` (atoms of all systems numbered in order)
-    seen in view ``atom_output[r]``. View ``v`` holds atom rows
+    from one pass, in the input pose. The batch keeps each system's edge
+    vectors and its rows of the radial block once, however many views it
+    has; :func:`_edge_features` turns a view's vectors by its rotation. Row
+    ``r`` of the batch is input atom ``atom_input[r]`` (atoms of all systems
+    numbered in order) seen in view ``atom_output[r]``, and edge row ``r``
+    is input edge ``edge_input[r]``. View ``v`` holds atom rows
     ``view_atoms[v]:view_atoms[v + 1]``, and so for edges; ``src`` and
     ``dst`` are indexed once for every scatter of the whole batch.
     """
@@ -261,13 +269,12 @@ def _make_batch(plan: ViewPlan, config: FAENetConfig) -> _Batch:
     atom_input = np.arange(view_atoms[-1]) + (atom_first[plan.sample] - view_atoms[:-1]).repeat(atoms)
     edge_input = np.arange(view_edges[-1]) + (edge_first[plan.sample] - view_edges[:-1]).repeat(edges)
     atom_shift = view_atoms[:-1].repeat(edges)
-    rotated = [graphs[index].rel_vectors @ rotation
-               for index, rotation in zip(plan.sample, plan.rotation)]
     return _Batch(
         plan=plan,
         z_index=numbers.take(atom_input) - 1,
-        edge_features=np.concatenate([np.concatenate(rotated), radial.take(edge_input, axis=0)],
-                                     axis=1),
+        vectors=[graph.rel_vectors for graph in graphs],
+        radial=radial,
+        edge_input=edge_input,
         src=dm.segments(np.concatenate([g.src for g in graphs]).take(edge_input) + atom_shift),
         dst=dm.segments(np.concatenate([g.dst for g in graphs]).take(edge_input) + atom_shift),
         atom_output=np.arange(len(plan.sample)).repeat(atoms),
@@ -275,6 +282,17 @@ def _make_batch(plan: ViewPlan, config: FAENetConfig) -> _Batch:
         view_atoms=view_atoms,
         view_edges=view_edges,
     )
+
+
+def _edge_features(batch: _Batch, start: int, stop: int) -> np.ndarray:
+    """The edge MLP's input for views ``start:stop`` of a batch: each view's
+    edge vectors turned by its rotation, beside their radial block."""
+    plan = batch.plan
+    rotated = [batch.vectors[index] @ rotation
+               for index, rotation in zip(plan.sample[start:stop], plan.rotation[start:stop])]
+    e0, e1 = batch.view_edges[start], batch.view_edges[stop]
+    radial = batch.radial.take(batch.edge_input[e0:e1], axis=0)
+    return np.concatenate([np.concatenate(rotated), radial], axis=1)
 
 
 def _view_chunks(batch: _Batch, num_filters: int) -> list[tuple[int, int]]:
@@ -348,7 +366,7 @@ def _net(model: FAENetModel, batch: _Batch, start: int, stop: int) -> DiffValue:
     src, dst = batch.src, batch.dst
     if (start, stop) != (0, len(batch.plan.sample)):
         src, dst = dm.segments(src.ids[e0:e1] - a0), dm.segments(dst.ids[e0:e1] - a0)
-    h, e = _embed_arrays(model, batch.z_index[a0:a1], batch.edge_features[e0:e1])
+    h, e = _embed_arrays(model, batch.z_index[a0:a1], _edge_features(batch, start, stop))
     layer_sum = None
     for layer in range(model.config.num_interactions):
         h = _interaction_arrays(model, layer, h, e, src, dst, int(a1 - a0))
@@ -379,22 +397,29 @@ def _heads(model: FAENetModel, batch: _Batch, h_out: DiffValue,
 
 def forward(model: FAENetModel, system: AtomicSystem, fa_mode: str = "full",
             group: str = E3, rng: np.random.Generator | None = None) -> Prediction:
-    """Predict energy (and forces if configured) for one system."""
-    return predict_views(model, plan_views([system], fa_mode, group, rng))
+    """Predict energy (and forces if configured) for one system: the
+    one-system call of :func:`predict_views`."""
+    prediction, = predict_views(model, plan_views([system], fa_mode, group, rng))
+    return prediction
 
 
-def predict_views(model: FAENetModel, plan: ViewPlan) -> Prediction:
-    """Predict energy (and forces if configured) for the one system of a
-    :func:`~faframe.frames.plan_views` plan; a plan of any other number of
-    systems raises ShapeMismatch."""
-    if len(plan.systems) != 1:
-        raise ShapeMismatch(f"a prediction is for one system, but the view plan covers "
-                            f"{len(plan.systems)}")
+def predict_views(model: FAENetModel, plan: ViewPlan) -> list[Prediction]:
+    """Predict energy (and forces if configured) for every system of a
+    :func:`~faframe.frames.plan_views` plan, one :class:`Prediction` per
+    system in the plan's order.
+
+    The plan is one batch: one graph search, and the backbone over chunks of
+    its views. A system's backbone rows are those of its own one-system
+    plan; the heads' narrow products may round its energy and forces in the
+    last digits by its rows' place in the batch.
+    """
     batch = _make_batch(plan, model.config)
     with dm.no_grad():
         energy, forces = _average_views(model, batch, model.config.predict_forces)
-    return Prediction(energy=float(energy.data[0, 0]),
-                      forces=None if forces is None else forces.data)
+    first = np.cumsum([0] + [system.num_atoms for system in plan.systems])
+    return [Prediction(float(energy.data[index, 0]),
+                       None if forces is None else forces.data[first[index]:first[index + 1]])
+            for index in range(len(plan.systems))]
 
 
 class TrainSample(NamedTuple):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from faframe import audit, frames, geometry
+from faframe import audit, faenet, frames, geometry
 from faframe.audit import (
     METHODS,
     SymmetryReport,
@@ -141,6 +141,35 @@ def test_audit_needs_at_least_one_transform(num_transforms):
     with pytest.raises(ValueError, match="num_transforms must be at least 1"):
         audit_model(model, fixed_systems(1, count=1), num_transforms=num_transforms,
                     rng=np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("num_transforms", [1.5, 2.0, "2", True])
+def test_audit_rejects_a_count_of_transforms_that_is_not_an_integer(num_transforms):
+    model = FAENetModel(CONFIG, np.random.default_rng(0))
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="num_transforms must be an integer"):
+        audit_model(model, fixed_systems(1, count=1), num_transforms=num_transforms, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("fa_mode", ["full", "stochastic", "none", "data_augment"])
+def test_audit_batches_each_system_with_all_its_probes(monkeypatch, fa_mode):
+    # One batch per audited system holds the system and its 2T moved copies.
+    batches = []
+    real = faenet._make_batch
+
+    def counting(plan, config):
+        batches.append(len(plan.systems))
+        return real(plan, config)
+
+    monkeypatch.setattr(faenet, "_make_batch", counting)
+    model = FAENetModel(CONFIG, np.random.default_rng(0))
+    systems = [*fixed_systems(3, count=2), LINEAR_CHAIN]
+    report = audit_model(model, systems, fa_mode=fa_mode, num_transforms=3,
+                         rng=np.random.default_rng(4))
+    assert report.num_systems == 2
+    assert batches == [1 + 2 * 3] * 2
 
 
 # A linear chain: its covariance has a double zero eigenvalue, so its frame

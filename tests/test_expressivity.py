@@ -323,6 +323,22 @@ def test_benchmark_rejects_empty_runs(counts, message):
         run_benchmark("kchains", 4, **{"epochs": 0, "num_seeds": 1, **counts})
 
 
+@pytest.mark.parametrize("name", ["num_seeds", "epochs", "test_transforms",
+                                  "train_transforms", "parameter"])
+@pytest.mark.parametrize("value", [4.0, 2.5, "4", True])
+def test_benchmark_rejects_counts_that_are_not_integers(name, value):
+    counts = {"parameter": 4, "epochs": 0, "num_seeds": 1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        run_benchmark("kchains", **counts)
+
+
+@pytest.mark.parametrize("generator, name", [(gen_k_chain, "k"), (gen_rot_sym, "length")])
+@pytest.mark.parametrize("value", [2.5, 4.0, "4", True])
+def test_shape_generators_reject_sizes_that_are_not_integers(generator, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        generator(value)
+
+
 def test_short_training_separates_the_classes():
     # tiny smoke run; the acceptance suite exercises the full schedule
     result = run_benchmark(

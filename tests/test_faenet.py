@@ -1,5 +1,7 @@
 """Message-passing network: layers, heads, training loop, configuration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from faframe.errors import (
     NoForcesRequested,
     NonFiniteInput,
     NonFiniteLoss,
-    ShapeMismatch,
     UnknownElement,
 )
 from faframe.frames import canonical_views, canonicalize, compute_frame, plan_views
@@ -35,6 +36,7 @@ from faframe.faenet import (
     PROPERTY_COLUMNS,
     FAENetModel,
     TrainSample,
+    _edge_features,
     _embed_arrays,
     _interaction_arrays,
     _make_batch,
@@ -94,7 +96,7 @@ def test_embed_shapes():
     system = random_system(rng, n=5)
     graph = build_radius_graph(system, TINY.cutoff, TINY.max_neighbors)
     batch = _make_batch(plan_views([system], "none"), TINY)
-    h, e = _embed_arrays(model, batch.z_index, batch.edge_features)
+    h, e = _embed_arrays(model, batch.z_index, _edge_features(batch, 0, 1))
     assert h.shape == (5, TINY.hidden_channels)
     assert e.shape == (graph.src.size, TINY.num_filters)
     out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, system.num_atoms)
@@ -109,7 +111,7 @@ def test_standard_filter_matches_concatenated_edge_inputs():
     p = {name: v.data for name, v in model.params.items()}
     system = random_system(rng, n=7)
     batch = _make_batch(plan_views([system], "none"), TINY)
-    h, e = _embed_arrays(model, batch.z_index, batch.edge_features)
+    h, e = _embed_arrays(model, batch.z_index, _edge_features(batch, 0, 1))
     out = _interaction_arrays(model, 0, h, e, batch.src, batch.dst, system.num_atoms)
     src, dst = batch.src.ids, batch.dst.ids
 
@@ -541,15 +543,43 @@ def test_full_mode_energy_is_e3_invariant_for_small_molecules(name):
         assert abs(forward(model, moved, fa_mode="full").energy - base) <= 1e-9 * abs(base)
 
 
-def test_a_view_plan_of_other_systems_is_rejected():
-    # A plan carries its systems, so a prediction reads its system from the
-    # plan; a plan of two systems is not one system's.
+def test_predict_views_of_a_one_system_plan_is_forward():
+    # A plan carries its systems, so a prediction reads its system from the plan.
     rng = np.random.default_rng(20)
     model = FAENetModel(TINY, rng)
-    a, b = random_system(rng), random_system(rng)
-    assert faenet.predict_views(model, plan_views([a], "full")) == forward(model, a)
-    with pytest.raises(ShapeMismatch, match="covers 2"):
-        faenet.predict_views(model, plan_views([a, b], "full"))
+    a = random_system(rng)
+    assert faenet.predict_views(model, plan_views([a], "full")) == [forward(model, a)]
+
+
+def _triclinic_crystal(rng, n):
+    cell = np.diag([4.1, 3.7, 3.3]) + rng.uniform(-0.4, 0.4, (3, 3))
+    return AtomicSystem(rng.uniform(0.0, 1.0, (n, 3)) @ cell, rng.integers(1, 20, size=n),
+                        cell=cell, pbc=(True, True, True))
+
+
+@pytest.mark.parametrize("fa_mode", ["full", "stochastic", "none", "data_augment"])
+def test_a_plan_of_many_systems_predicts_each_as_its_own_forward(fa_mode):
+    # One plan of a molecule, a triclinic crystal and a degenerate chain
+    # gives each system its own forward, drawing from rng as forward does
+    # on each system in turn.
+    rng = np.random.default_rng(38)
+    config = FAENetConfig(hidden_channels=16, num_filters=24, num_gaussians=8,
+                          num_interactions=2, cutoff=4.0, max_neighbors=12,
+                          predict_forces=True, force_head_hidden=8)
+    model = FAENetModel(config, rng)
+    chain = AtomicSystem(np.outer(np.arange(3) * 1.1, [1.0, 0.0, 0.0]), np.full(3, 6))
+    systems = [random_system(rng, n=7), _triclinic_crystal(rng, 5), chain]
+    assert compute_frame(chain).degenerate
+    joint, alone = np.random.default_rng(39), np.random.default_rng(39)
+    predictions = faenet.predict_views(model, plan_views(systems, fa_mode, E3, joint))
+    assert len(predictions) == len(systems)
+    for system, prediction in zip(systems, predictions):
+        own = forward(model, system, fa_mode=fa_mode, group=E3, rng=alone)
+        assert abs(prediction.energy - own.energy) <= 1e-12 * abs(own.energy)
+        assert prediction.forces.shape == (system.num_atoms, 3)
+        bound = 1e-12 * (1.0 + np.abs(own.forces).max())
+        assert np.abs(prediction.forces - own.forces).max() <= bound
+    assert joint.bit_generator.state == alone.bit_generator.state
 
 
 def test_none_mode_is_rotation_sensitive():
@@ -602,17 +632,19 @@ def test_batch_of_many_systems_is_their_one_system_batches_joined(mixed_batch):
         group = (E3, SE3, Z_AXIS_2D)[int(rng.integers(3))]
         plan = plan_views(systems, "full", group)
         batch = _make_batch(plan, config)
+        features = _edge_features(batch, 0, len(plan.sample))
         firsts = np.cumsum([0] + [system.num_atoms for system in systems])
         view = 0
         for index, system in enumerate(systems):
             alone = _make_batch(plan_views([system], "full", group), config)
+            own_features = _edge_features(alone, 0, len(alone.plan.sample))
             for own in range(len(alone.plan.sample)):
                 assert plan.sample[view] == index
                 a0, a1 = batch.view_atoms[view:view + 2]
                 e0, e1 = batch.view_edges[view:view + 2]
                 b0, b1 = alone.view_atoms[own:own + 2]
                 f0, f1 = alone.view_edges[own:own + 2]
-                assert batch.edge_features[e0:e1].tobytes() == alone.edge_features[f0:f1].tobytes()
+                assert features[e0:e1].tobytes() == own_features[f0:f1].tobytes()
                 assert batch.z_index[a0:a1].tobytes() == alone.z_index[b0:b1].tobytes()
                 for ids, own_ids in ((batch.src.ids, alone.src.ids),
                                      (batch.dst.ids, alone.dst.ids)):
@@ -622,6 +654,27 @@ def test_batch_of_many_systems_is_their_one_system_batches_joined(mixed_batch):
                 assert (batch.atom_output[a0:a1] == view).all()
                 view += 1
         assert view == len(plan.sample) and batch.plan is plan
+
+
+def test_a_batch_keeps_each_systems_edge_inputs_once():
+    # Every view of a system shares its edge vectors and radial block; the
+    # joined edge features of all views are built a chunk at a time, never
+    # by the batch.
+    rng = np.random.default_rng(40)
+    system = AtomicSystem(rng.uniform(-1.0, 1.0, (16, 3)) * np.array([2.4, 1.8, 1.2]),
+                          rng.choice((1, 6, 7, 8), 16))
+    config = FAENetConfig()
+    plan = plan_views([system], "full", E3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        batch = _make_batch(plan, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    edges = int(batch.view_edges[-1])
+    assert len(plan.sample) == 8 and edges > 8 * 100
+    assert peak < edges * (3 + config.num_gaussians) * 8
 
 
 def test_empty_batch_is_one_named_error():

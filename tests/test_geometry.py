@@ -237,17 +237,6 @@ def test_rigid_motion_rotates_cell_rows_and_never_translates_them():
             np.testing.assert_allclose(b.rel_vectors, a.rel_vectors @ g.rotation.T, atol=1e-9)
 
 
-def test_compose_matches_sequential_application():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        g1 = random_transform(E3, rng)
-        g2 = random_transform(E3, rng)
-        points = rng.standard_normal((6, 3))
-        sequential = g1.apply_points(g2.apply_points(points))
-        composed = g1.compose(g2)
-        np.testing.assert_allclose(composed.apply_points(points), sequential, atol=1e-12)
-
-
 def test_compose_on_systems():
     rng = np.random.default_rng(3)
     system = random_system(rng, periodic=True)

@@ -41,10 +41,15 @@ def test_tiny_snapshot_writes_every_case_with_the_same_bytes_twice(tmp_path):
     expected |= {f"canonicalize_{group}{suffix}.xyz" for group in groups
                  for suffix in ("", "_sample")}
     expected |= {"bench_kchains.json", "bench_rotsym.json", "gradcheck.json", "forward.txt",
-                 "train.txt", "audit_rng.json"}
+                 "predict.txt", "train.txt", "audit_rng.json"}
     assert expected <= set(files)
     forward = files["forward.txt"].decode()
     for run in ("full", "full_one_view_per_chunk", "stochastic"):
         assert f"a_molecule {run} energy " in forward
         assert f"a_molecule {run} forces " in forward
+    predict = files["predict.txt"].decode()
+    for mode in FA_MODES:
+        for name in ("a_molecule", "c_crystal", "d_chain"):
+            assert f"{name} {mode} energy " in predict
+            assert f"{name} {mode} forces " in predict
     assert b"parameters sha256 " in files["train.txt"]
