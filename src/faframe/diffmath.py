@@ -10,7 +10,16 @@ inference keeps no tape.
 Gradients are owned, not copied: a value's first gradient may be the very
 array a rule hands it, and later ones are added into that array in place.
 So a rule hands each fresh array to one parent only, and never reads it
-again after handing it on.
+again after handing it on. A node owns its ``.grad`` while its rule runs,
+so the rule may overwrite it, as the swish chains do with their local
+gradient.
+
+``backward`` releases the tape as it walks: once a node's rule has run, the
+node drops its rule and its parents, so each saved buffer (an output, a
+sigmoid) is freed as soon as the last rule that reads it has run, and no
+activation outlives the walk. A released node keeps its data, and its rule
+raises :class:`~faframe.errors.ReleasedGraph`, so a second ``backward``
+through it fails instead of stopping there as if it were a leaf.
 
 The backbone's dense steps are fused nodes that own one output-sized
 buffer each: ``dense`` is ``x @ w + b`` with an optional swish, and
@@ -35,7 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointError, NonFiniteLoss, NonScalarLoss, ShapeMismatch
+from .errors import CheckpointError, NonFiniteLoss, NonScalarLoss, ReleasedGraph, ShapeMismatch
+from .geometry import real_setting
 
 CHECKPOINT_VERSION = 1
 NUMERICAL_STEP = 1e-5
@@ -421,19 +431,20 @@ def _swish_rows(pre, sig, out):
 
 
 def _swish_local_grad(sig, out, grad) -> np.ndarray:
-    """``grad * d(x s)/dx`` from the kept sigmoid ``s`` and output, by row block.
+    """Multiply the node's own ``grad`` by d(x s)/dx in place, by row block,
+    from the kept sigmoid ``s`` and output; returns ``grad``.
 
-    d(x s)/dx = s + x s (1 - s) = s + out (1 - s), in that order of ufuncs.
+    d(x s)/dx = s + x s (1 - s) = s + out (1 - s), in that order of ufuncs;
+    each row block's factor is a block of scratch.
     """
-    def rows(sig, out, grad, local):
-        np.subtract(1.0, sig, out=local)
+    def rows(sig, out, grad):
+        local = np.subtract(1.0, sig)
         local *= out
         local += sig
-        local *= grad
+        grad *= local
 
-    local = np.empty(sig.shape)
-    _in_row_blocks(rows, sig, out, grad, local)
-    return local
+    _in_row_blocks(rows, sig, out, grad)
+    return grad
 
 
 def swish(x) -> DiffValue:
@@ -574,13 +585,21 @@ def binary_cross_entropy_with_logits(logits, targets) -> DiffValue:
     return _node(np.mean(loss), (logits, targets), backward)
 
 
+def _released(grad):
+    raise ReleasedGraph("this graph was released by an earlier backward; "
+                        "build the loss again to take its gradient")
+
+
 def backward(loss: DiffValue):
-    """Backpropagate from a scalar loss through its whole graph.
+    """Backpropagate from a scalar loss through its whole graph, releasing it.
 
     Leaves (nodes without a backward rule, parameters among them) keep the
     gradient they accumulate. Every other node's ``.grad`` is dropped as
-    soon as its rule has passed it on, so intermediate gradients do not pile
-    up over the walk.
+    soon as its rule has passed it on, and with it the node's rule and
+    parents, so intermediate gradients do not pile up over the walk and each
+    activation is freed once the last rule that reads it has run. The
+    released nodes keep their data; a later ``backward`` through one of them
+    raises ReleasedGraph.
     """
     if loss.data.shape != ():
         raise NonScalarLoss(f"backward needs a scalar, got shape {loss.data.shape}")
@@ -604,10 +623,15 @@ def backward(loss: DiffValue):
                 stack.append((parent, False))
 
     loss.accumulate_grad(np.asarray(1.0))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    # Popping drops the walk's own reference to each node as it is reached.
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
             node.grad = None
+        node._backward, node._parents = _released, ()
 
 
 class AdamW:
@@ -615,16 +639,27 @@ class AdamW:
 
     Moments use the usual bias correction; the decay term is applied to the
     parameter directly, scaled by the learning rate, never through the
-    moments. Every trainer updates through :meth:`minimize`.
+    moments. Every trainer updates through :meth:`minimize`. Each setting
+    must be a finite number: epsilon above 0, each beta in [0, 1), and the
+    learning rate and weight decay at least 0 (a learning rate of 0 freezes
+    the parameters). Any other raises ValueError naming the setting.
     """
 
     def __init__(self, params, learning_rate=1e-3, betas=(0.9, 0.999), epsilon=1e-8,
                  weight_decay=0.0):
+        try:
+            beta1, beta2 = betas
+        except (TypeError, ValueError):
+            raise ValueError(f"betas must be a pair of numbers, got {betas!r}") from None
         self.params = list(params)
-        self.learning_rate = float(learning_rate)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.epsilon = float(epsilon)
-        self.weight_decay = float(weight_decay)
+        at_least_0, beta = "a finite number at least 0", "a finite number in [0, 1)"
+        self.learning_rate = real_setting("learning_rate", learning_rate, at_least_0,
+                                          lambda x: x >= 0)
+        self.beta1 = real_setting("betas[0]", beta1, beta, lambda x: 0 <= x < 1)
+        self.beta2 = real_setting("betas[1]", beta2, beta, lambda x: 0 <= x < 1)
+        self.epsilon = real_setting("epsilon", epsilon, "a finite number above 0", lambda x: x > 0)
+        self.weight_decay = real_setting("weight_decay", weight_decay, at_least_0,
+                                         lambda x: x >= 0)
         self.step_count = 0
         self._m = [np.zeros(p.data.shape) for p in self.params]
         self._v = [np.zeros(p.data.shape) for p in self.params]

@@ -13,6 +13,10 @@ class NonScalarLoss(FaframeError, ValueError):
     """backward() was called on a value that is not a scalar."""
 
 
+class ReleasedGraph(FaframeError, RuntimeError):
+    """backward() met a node whose graph an earlier backward already released."""
+
+
 class NonFiniteLoss(FaframeError, FloatingPointError):
     """A training loss evaluated to NaN or infinity; the step was aborted."""
 

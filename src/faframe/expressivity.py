@@ -327,6 +327,7 @@ def run_benchmark(family: str, parameter: int, *, num_seeds: int = 10,
                 part = slice(label * train_transforms, (label + 1) * train_transforms)
                 systems += [base, *apply_transforms(base, rotations[part], translations[part])]
                 labels += [label] * (train_transforms + 1)
+            optimizer.zero_grad()  # the last epoch's gradients are dead
             energies, _ = training_forward(model, systems, fa_mode, group, rng, False)
             targets = dm.constant(np.array(labels, dtype=np.float64)[:, None])
             optimizer.minimize(dm.binary_cross_entropy_with_logits(energies, targets))

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -32,9 +34,10 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import DiffValue
 from .elements import MAX_ATOMIC_NUMBER
-from .errors import CheckpointError, EmptyBatch, NoForcesRequested
+from .errors import (CheckpointError, EmptyBatch, NoForcesRequested, NonFiniteInput,
+                     ShapeMismatch)
 from .frames import ViewPlan, plan_views
-from .geometry import E3, AtomicSystem, build_radius_graphs, positive_setting
+from .geometry import E3, AtomicSystem, build_radius_graphs, positive_setting, real_setting
 
 MP_VARIANTS = ("standard", "simple", "basic")
 ENERGY_HEADS = ("weighted", "simple")
@@ -486,26 +489,62 @@ def _loss(samples: Sequence[TrainSample], energy: DiffValue, forces: DiffValue |
     return loss
 
 
+def _checked_samples(batch: list, want_forces: bool) -> list[TrainSample]:
+    """The batch as TrainSamples with float energies and, when ``want_forces``,
+    float64 ``(n, 3)`` force targets. A fault raises naming the sample's
+    index: NonFiniteInput for a target that is not finite numbers,
+    ShapeMismatch for force targets of another shape, ValueError for
+    missing ones."""
+    checked = []
+    for index, sample in enumerate(batch):
+        sample = sample if isinstance(sample, TrainSample) else TrainSample(*sample)
+        energy, forces = sample.energy, sample.forces
+        if not isinstance(energy, numbers.Real) or not math.isfinite(energy):
+            raise NonFiniteInput(f"sample {index} energy is not a finite number: {energy!r}")
+        if want_forces:
+            if forces is None:
+                raise ValueError(f"force_coeff is nonzero but sample {index} has no force targets")
+            try:
+                forces = np.asarray(forces, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise NonFiniteInput(f"sample {index} force targets are not numbers") from None
+            expected = (sample.system.num_atoms, 3)
+            if forces.shape != expected:
+                raise ShapeMismatch(f"sample {index} force targets have shape {forces.shape}, "
+                                    f"its system needs {expected}")
+            if not np.isfinite(forces).all():
+                raise NonFiniteInput(f"sample {index} force targets are not all finite")
+        checked.append(TrainSample(sample.system, float(energy), forces))
+    return checked
+
+
 def train_step(model: FAENetModel, batch: list, optimizer: dm.AdamW, *,
                energy_coeff: float = 1.0, force_coeff: float = 0.0,
                fa_mode: str = "stochastic", group: str = E3,
                rng: np.random.Generator | None = None) -> float:
     """One optimization step on a batch of (system, energy, forces) samples.
 
+    The coefficients and every target are checked first, before the forward
+    and before any draw from ``rng`` (see :func:`_checked_samples`). The
+    optimizer's gradients are dropped before the forward, so the last step's
+    gradients never share memory with this step's activations, and
+    ``backward`` frees each activation once it is used: at its peak a step
+    holds its activations, then a growing set of parameter gradients as the
+    activations go, never both whole.
+
     The loss is :func:`_loss`, ``energy_coeff * MSE(energy) + force_coeff *
     MSE(forces)``, the one :func:`run_gradient_check` checks. It is applied by
     :meth:`~faframe.diffmath.AdamW.minimize`: a non-finite loss raises
     NonFiniteLoss before any parameter is touched.
     """
-    samples = [s if isinstance(s, TrainSample) else TrainSample(*s) for s in batch]
+    energy_coeff = real_setting("energy_coeff", energy_coeff, "a finite number")
+    force_coeff = real_setting("force_coeff", force_coeff, "a finite number")
     want_forces = force_coeff != 0.0
     if want_forces and not model.config.predict_forces:
         raise NoForcesRequested("force_coeff is nonzero but the model has no force head")
-    if want_forces:
-        missing = [i for i, s in enumerate(samples) if s.forces is None]
-        if missing:
-            raise ValueError(f"force_coeff is nonzero but samples {missing} have no force targets")
+    samples = _checked_samples(batch, want_forces)
 
+    optimizer.zero_grad()
     systems = [s.system for s in samples]
     energy, forces = training_forward(model, systems, fa_mode, group, rng, want_forces)
     return optimizer.minimize(_loss(samples, energy, forces, energy_coeff, force_coeff))

@@ -85,6 +85,17 @@ def count_setting(name: str, value, minimum: int = 0) -> int:
     return int(value)
 
 
+def real_setting(name: str, value, wanted: str, fits=lambda number: True) -> float:
+    """A setting as a plain ``float``: a finite real number, not a bool, for
+    which ``fits`` holds. Raises ValueError "``name`` must be ``wanted``"
+    otherwise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        number = float(value)
+        if math.isfinite(number) and fits(number):
+            return number
+    raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
 def positive_setting(name: str, value, integer: bool = False) -> int | float:
     """A model or graph setting as a plain ``int`` if ``integer``, else a plain ``float``.
 
@@ -95,11 +106,7 @@ def positive_setting(name: str, value, integer: bool = False) -> int | float:
     """
     if integer:
         return count_setting(name, value, 1)
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        number = float(value)
-        if number > 0 and math.isfinite(number):
-            return number
-    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return real_setting(name, value, "positive and finite", lambda number: number > 0)
 
 
 def _array(values, name: str) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""The package depends on numpy alone.
+"""The package depends on numpy alone and starts no threads or processes.
 
 Every import in ``src/faframe`` names ``__future__``, a standard-library
-module, numpy, or the package itself.
+module, numpy, or the package itself, and none names a thread or process
+module.
 """
 
 import ast
@@ -30,3 +31,14 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                for path in paths for line, root in _imported_roots(path)
                if root not in ALLOWED and root not in sys.stdlib_module_names]
     assert outside == []
+
+
+CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing", "subprocess"}
+
+
+def test_the_package_starts_no_threads_or_processes_of_its_own():
+    # README's notes say so: numpy's BLAS may run threads, the package none.
+    found = [f"{path.name}:{line} imports {root}"
+             for path in sorted(SOURCE.glob("*.py")) for line, root in _imported_roots(path)
+             if root in CONCURRENCY]
+    assert found == []

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from faframe.errors import (
     FaframeError,
     NonFiniteLoss,
     NonScalarLoss,
+    ReleasedGraph,
     ShapeMismatch,
 )
 
@@ -757,6 +759,59 @@ def test_backward_keeps_leaf_grads_and_drops_the_rest():
     assert hidden.grad is None and squared.grad is None and loss.grad is None
 
 
+def _saved(node, name):
+    """The array a node's backward rule keeps under ``name``, e.g. ``sig``."""
+    rule = node._backward
+    return dict(zip(rule.__code__.co_freevars, (c.cell_contents for c in rule.__closure__)))[name]
+
+
+def test_backward_frees_each_saved_buffer_once_its_rule_has_run():
+    rng = np.random.default_rng(14)
+    x, w, b = (dm.DiffValue(rng.standard_normal(shape)) for shape in ((6, 3), (3, 4), (4,)))
+    ids = dm.segments([0, 2, 1, 1, 0, 2])
+    table = dm.DiffValue(rng.standard_normal((3, 4)))
+    hidden = dm.dense(x, w, b, activate=True)
+    gate = dm.edge_gate(hidden, dm.DiffValue(rng.standard_normal((4, 4))), table, ids, table, ids)
+    loss = dm.sum_all(dm.mul(gate, gate))
+    refs = [weakref.ref(array) for array in (hidden.data, _saved(hidden, "sig"),
+                                             gate.data, _saved(gate, "sig"))]
+    del hidden, gate
+    assert all(ref() is not None for ref in refs)  # the loss holds its tape
+    dm.backward(loss)
+    assert [ref() for ref in refs] == [None] * 4
+    assert loss._parents == () and loss.grad is None
+    assert all(p.grad is not None for p in (x, w, b, table))
+
+
+def test_a_released_graph_raises_on_a_second_backward():
+    x = dm.DiffValue(np.array([1.0, -2.0]))
+    hidden = dm.swish(x)
+    loss = dm.sum_all(hidden)
+    dm.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ReleasedGraph, match="released"):
+        dm.backward(loss)
+    # A new loss over a released intermediate would miss x's gradient.
+    with pytest.raises(ReleasedGraph):
+        dm.backward(dm.sum_all(dm.mul(hidden, hidden)))
+    np.testing.assert_array_equal(x.grad, first)
+    assert issubclass(ReleasedGraph, FaframeError)
+
+
+def test_swish_local_gradient_is_written_into_the_nodes_own_gradient():
+    # 2 MiB arrays, eight default row blocks: the factor is one block of scratch.
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((4096, 64)) * 10.0
+    sig = dm._stable_sigmoid(x)
+    out = x * sig
+    grad = rng.standard_normal(x.shape)
+    expected = ((1.0 - sig) * out + sig) * grad
+    local, kept, peak = _traced_bytes(lambda: dm._swish_local_grad(sig, out, grad))
+    assert local is grad and local.tobytes() == expected.tobytes()
+    assert kept <= NODE_OVERHEAD
+    assert peak <= dm.ROW_BLOCK_BYTES + NODE_OVERHEAD
+
+
 # ----------------------------------------------------------------- optimizer
 
 
@@ -938,6 +993,38 @@ def test_adamw_minimize_rejects_a_non_finite_loss_untouched(bad):
         assert p.grad.tobytes() == grad.tobytes()
         assert m_now.tobytes() == m.tobytes()
         assert v_now.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    pytest.param({"learning_rate": float("nan")}, "nan",
+                 "learning_rate must be a finite number at least 0", id="nan_learning_rate"),
+    pytest.param({"learning_rate": -0.1}, "-0.1", "learning_rate", id="negative_learning_rate"),
+    pytest.param({"learning_rate": "abc"}, "'abc'", "learning_rate", id="text_learning_rate"),
+    pytest.param({"learning_rate": True}, "True", "learning_rate", id="bool_learning_rate"),
+    pytest.param({"betas": (1.0, 0.999)}, "1.0", "betas[0] must be a finite number in [0, 1)",
+                 id="beta1_of_one"),
+    pytest.param({"betas": (0.9, -0.5)}, "-0.5", "betas[1]", id="negative_beta2"),
+    pytest.param({"betas": (0.9, float("inf"))}, "inf", "betas[1]", id="infinite_beta2"),
+    pytest.param({"betas": (0.9,)}, "(0.9,)", "betas must be a pair of numbers", id="one_beta"),
+    pytest.param({"epsilon": 0.0}, "0.0", "epsilon must be a finite number above 0",
+                 id="zero_epsilon"),
+    pytest.param({"weight_decay": -1e-3}, "-0.001",
+                 "weight_decay must be a finite number at least 0", id="negative_weight_decay"),
+    pytest.param({"weight_decay": float("inf")}, "inf", "weight_decay",
+                 id="infinite_weight_decay"),
+])
+def test_adamw_rejects_a_bad_setting_by_name(setting, value, message):
+    with pytest.raises(ValueError) as err:
+        dm.AdamW([scalar(1.0)], **setting)
+    assert str(err.value).startswith(message) and str(err.value).endswith(f"got {value}")
+
+
+def test_adamw_keeps_its_settings_as_floats():
+    opt = dm.AdamW([scalar(1.0)], learning_rate=np.float32(0.5), betas=[0, np.float64(0.5)],
+                   epsilon=1, weight_decay=0)
+    settings = (opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon, opt.weight_decay)
+    assert settings == (0.5, 0.0, 0.5, 1.0, 0.0)
+    assert all(type(value) is float for value in settings)
 
 
 # ------------------------------------------------------------- rotate_rows

@@ -15,6 +15,7 @@ from faframe.errors import (
     NoForcesRequested,
     NonFiniteInput,
     NonFiniteLoss,
+    ShapeMismatch,
     UnknownElement,
 )
 from faframe.frames import canonical_views, canonicalize, compute_frame, plan_views
@@ -807,6 +808,94 @@ def test_non_finite_loss_aborts_before_update():
         train_step(model, [sample], optimizer, fa_mode="full")
     for name, value in model.params.items():
         np.testing.assert_array_equal(value.data, before[name])
+
+
+FORCE_TINY = FAENetConfig(hidden_channels=8, num_filters=8, num_gaussians=4, num_interactions=1,
+                         cutoff=4.0, max_neighbors=8, predict_forces=True, force_head_hidden=8)
+
+
+def _no_forward(*args):
+    raise AssertionError("train_step ran its forward")
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    pytest.param({"energy": "x"}, NonFiniteInput,
+                 "sample 1 energy is not a finite number: 'x'", id="text_energy"),
+    pytest.param({"energy": float("nan")}, NonFiniteInput,
+                 "sample 1 energy is not a finite number: nan", id="nan_energy"),
+    pytest.param({"forces": np.zeros((4, 3))}, ShapeMismatch,
+                 "sample 1 force targets have shape (4, 3), its system needs (5, 3)",
+                 id="forces_of_another_shape"),
+    pytest.param({"forces": np.full((5, 3), np.inf)}, NonFiniteInput,
+                 "sample 1 force targets are not all finite", id="infinite_forces"),
+    pytest.param({"forces": [["a", "b", "c"]] * 5}, NonFiniteInput,
+                 "sample 1 force targets are not numbers", id="text_forces"),
+])
+def test_train_step_checks_targets_before_the_forward_and_any_draw(fault, error, message,
+                                                                    monkeypatch):
+    rng = np.random.default_rng(20)
+    model = FAENetModel(FORCE_TINY, rng)
+    optimizer = dm.AdamW(model.parameters())
+    good = TrainSample(random_system(rng, n=4), 1.0, np.zeros((4, 3)))
+    bad = TrainSample(random_system(rng, n=5), 1.0, np.zeros((5, 3)))._replace(**fault)
+    monkeypatch.setattr(faenet, "training_forward", _no_forward)
+    state = rng.bit_generator.state
+    with pytest.raises(error) as err:
+        train_step(model, [good, bad], optimizer, force_coeff=1.0, rng=rng)
+    assert str(err.value) == message
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("coefficient, value", [
+    ("energy_coeff", float("nan")), ("force_coeff", float("inf")), ("energy_coeff", "1"),
+    ("force_coeff", None),
+])
+def test_train_step_rejects_a_coefficient_that_is_not_a_finite_number(coefficient, value,
+                                                                     monkeypatch):
+    rng = np.random.default_rng(21)
+    model = FAENetModel(FORCE_TINY, rng)
+    sample = TrainSample(random_system(rng, n=4), 1.0, np.zeros((4, 3)))
+    monkeypatch.setattr(faenet, "training_forward", _no_forward)
+    with pytest.raises(ValueError, match=f"^{coefficient} must be a finite number, got "):
+        train_step(model, [sample], dm.AdamW(model.parameters()), **{coefficient: value})
+
+
+def test_train_step_never_holds_its_activations_and_the_last_gradients_at_once():
+    # The second of two steps: the first step's gradients are dropped before
+    # the forward, and backward frees each activation once it is used, so
+    # the step peaks less than one set of parameter gradients above its own
+    # forward. A step that kept either would peak at least that much above.
+    config = FAENetConfig(hidden_channels=128, num_filters=128, num_gaussians=32,
+                          num_interactions=3, predict_forces=True, force_head_hidden=64)
+    rng = np.random.default_rng(22)
+    model = FAENetModel(config, rng)
+    optimizer = dm.AdamW(model.parameters())
+    first, second = ([TrainSample(random_system(rng, n=n), float(rng.normal()),
+                                  rng.normal(0.0, 0.1, (n, 3))) for n in (6, 8)]
+                     for _ in range(2))
+    grad_bytes = sum(p.data.nbytes for p in model.parameters())
+
+    def traced_rise(run):
+        """Peak traced bytes of ``run()`` above those alive when it starts."""
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()  # before the first step, so that its gradients are traced
+    try:
+        train_step(model, first, optimizer, force_coeff=1.0, rng=np.random.default_rng(1))
+        assert sum(p.grad.nbytes for p in model.parameters()) == grad_bytes
+        forward_rise = traced_rise(lambda: training_forward(
+            model, [s.system for s in second], "stochastic", E3, np.random.default_rng(2), True))
+        step_rise = traced_rise(lambda: train_step(
+            model, second, optimizer, force_coeff=1.0, rng=np.random.default_rng(2)))
+    finally:
+        tracemalloc.stop()
+    # Both peaks counted from the model without gradients: the step starts
+    # with the first step's gradients alive, the forward needs none.
+    forward_peak, step_peak = forward_rise, grad_bytes + step_rise
+    assert step_peak - forward_peak < grad_bytes
 
 
 def _zero_fill_accumulate(self, delta):
